@@ -13,7 +13,6 @@ from __future__ import annotations
 import logging
 import math
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +20,7 @@ import numpy as np
 from .estimation import CondEstimator
 from .oracles import SAMPLING, OracleHandle, WrongOracleMode
 from .sampling_learner import repeat_basis
-from .sequences import Seq
+from .sequences import Seq, distinct_rows
 
 log = logging.getLogger(__name__)
 
@@ -264,15 +263,12 @@ def _min_capped_loss(estimator: CondEstimator, members: list[Seq], x: Seq,
     h = len(members)
     n_target = int(rng.binomial(m, 0.5))
     member_counts = rng.multinomial(m - n_target, np.full(h, 1.0 / h))
-    batch: Counter = Counter()
-    if n_target > 0:
-        batch.update(oracle.sample_query(tuple(x), size=n_target))
-    for b, k in zip(members, member_counts):
-        if k > 0:
-            batch.update(oracle.sample_query(tuple(b), size=int(k)))
+    sources = [(x, n_target)] + list(zip(members, member_counts))
+    draws = [oracle.sample_futures(h, int(k)) for h, k in sources if k > 0]
+    batch = distinct_rows(np.concatenate(draws), oracle.n_symbols)
 
     ys, zs, ws = [], [], []
-    for future, count in batch.items():
+    for future, count in batch:
         target = estimator.gated_cond_prob(x, future, regularity)
         ests = np.array([
             estimator.gated_cond_prob(b, future, regularity) for b in members

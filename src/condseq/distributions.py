@@ -7,7 +7,15 @@ package:
 - ``joint_prob(seq)`` for full- or partial-length sequences,
 - ``conditional_prob(history, future)``,
 - ``next_symbol_probs(history)``,
-- ``sample_conditional(history, rng, size=None)``.
+- ``sample_futures(history, rng, size, steps=None)``, the one simulator: a
+  ``(size, steps)`` int64 array holding the first ``steps`` symbols of
+  ``size`` futures of ``history`` (all ``T - len(history)`` by default),
+- ``sample_conditional(history, rng, size=None)``, the same draws as tuples.
+
+Truncated draws consume the random stream exactly like full ones: a draw with
+``steps=s`` equals the first ``s`` columns of a full draw from an equally
+seeded generator, and leaves the generator in the same state, so the next
+draw is identical too.  Stopping early only skips simulation work.
 
 Conditioning on a zero-probability history follows different conventions per
 type: an HMM resets its state belief to uniform at the step where the
@@ -22,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sequences import Seq, all_seqs, seq_count, seq_to_index
+from .sequences import Seq, all_seqs, rows_as_seqs, seq_count, seq_to_index
 
 # Guard for every exhaustive enumeration over O^T sequences.
 ENUM_CAP = 2**20
@@ -169,32 +177,39 @@ class Hmm:
 
     # -- sampling ----------------------------------------------------------
 
-    def sample_conditional(self, history: Seq, rng: np.random.Generator,
-                           size: int | None = None):
-        """Sample future(s) of length ``T - len(history)`` given ``history``.
+    def sample_futures(self, history: Seq, rng: np.random.Generator, size: int,
+                       steps: int | None = None) -> np.ndarray:
+        """First ``steps`` symbols of ``size`` futures of ``history``.
 
-        With ``size=None`` returns a single tuple; otherwise a list of ``size``
-        tuples drawn in a vectorized batch.
+        Simulates ``steps`` symbols in a vectorized batch, then discards the
+        uniforms the remaining steps of a full future would have used.
         """
         length = self.horizon - len(history)
-        start = self.forward_filter(history).probs
-        k = 1 if size is None else size
-        beliefs = np.tile(start, (k, 1))
-        out = np.empty((k, length), dtype=np.int64)
-        for j in range(length):
-            probs = beliefs @ self.emission.T  # (k, O)
+        steps = _check_steps(length, steps)
+        beliefs = np.tile(self.forward_filter(history).probs, (size, 1))
+        out = np.empty((size, steps), dtype=np.int64)
+        for j in range(steps):
+            probs = beliefs @ self.emission.T  # (size, O)
             cum = np.cumsum(probs, axis=1)
             # guard against rounding: force the last edge to cover u
             cum[:, -1] = np.maximum(cum[:, -1], 1.0)
-            u = rng.random(k)
+            u = rng.random(size)
             symbols = (cum > u[:, None]).argmax(axis=1)  # 0-based
             out[:, j] = symbols + 1
-            w = beliefs * self.emission[symbols, :]
-            norm = w.sum(axis=1, keepdims=True)
-            np.maximum(norm, 1e-300, out=norm)
-            beliefs = (w / norm) @ self.transition.T
-        seqs = [tuple(int(o) for o in row) for row in out]
-        return seqs[0] if size is None else seqs
+            if j + 1 < steps:
+                w = beliefs * self.emission[symbols, :]
+                norm = w.sum(axis=1, keepdims=True)
+                np.maximum(norm, 1e-300, out=norm)
+                beliefs = (w / norm) @ self.transition.T
+        if steps < length:
+            rng.random(size * (length - steps))
+        return out
+
+    def sample_conditional(self, history: Seq, rng: np.random.Generator,
+                           size: int | None = None):
+        """Future(s) of ``history`` as one tuple (``size=None``) or a list."""
+        k = 1 if size is None else size
+        return rows_as_seqs(self.sample_futures(history, rng, k), size)
 
     # -- exhaustive helpers ------------------------------------------------
 
@@ -277,20 +292,38 @@ class TableDist:
             raise ZeroProbabilityHistory(f"history {history} has probability 0")
         return mass / total
 
-    def sample_conditional(self, history: Seq, rng: np.random.Generator,
-                           size: int | None = None):
-        """Sample future(s) given ``history`` by enumerating completions."""
+    def sample_futures(self, history: Seq, rng: np.random.Generator, size: int,
+                       steps: int | None = None) -> np.ndarray:
+        """First ``steps`` symbols of ``size`` futures of ``history``.
+
+        Draws whole completions by index (one ``rng.choice`` whatever
+        ``steps`` is) and keeps the leading digits of each index.
+        """
         length = self.horizon - len(history)
+        steps = _check_steps(length, steps)
         block = self._prefix_slice(history).reshape(-1)
         total = block.sum()
         if total <= 0.0:
             raise ZeroProbabilityHistory(f"history {history} has probability 0")
-        k = 1 if size is None else size
-        idx = rng.choice(block.size, size=k, p=block / total)
-        from .sequences import index_to_seq
+        idx = rng.choice(block.size, size=size, p=block / total)
+        powers = self.n_symbols ** np.arange(length - 1, length - steps - 1, -1,
+                                             dtype=np.int64)
+        return (idx[:, None] // powers) % self.n_symbols + 1
 
-        seqs = [index_to_seq(int(i), self.n_symbols, length) for i in idx]
-        return seqs[0] if size is None else seqs
+    def sample_conditional(self, history: Seq, rng: np.random.Generator,
+                           size: int | None = None):
+        """Future(s) of ``history`` as one tuple (``size=None``) or a list."""
+        k = 1 if size is None else size
+        return rows_as_seqs(self.sample_futures(history, rng, k), size)
+
+
+def _check_steps(length: int, steps: int | None) -> int:
+    """Validated number of future symbols to simulate (all by default)."""
+    if steps is None:
+        return length
+    if not 0 <= steps <= length:
+        raise ValueError(f"steps must lie in 0..{length}")
+    return steps
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,8 @@ class CondEstimator:
 
         A history the underlying distribution gives zero probability yields
         the all-zero vector (conditioning on it is impossible, and every
-        estimate walking through it should vanish).
+        estimate walking through it should vanish).  Each draw is charged as
+        a full future but only its first symbol is simulated.
         """
         history = tuple(history)
         cached = self._freqs.get(history)
@@ -72,13 +73,12 @@ class CondEstimator:
             raise ValueError("history already has full length")
         n_symbols = self.oracle.n_symbols
         try:
-            draws = self.oracle.sample_query(history, size=self.samples_per_history)
+            first = self.oracle.sample_futures(
+                history, self.samples_per_history, steps=1)[:, 0]
         except ZeroProbabilityHistory:
             freqs = np.zeros(n_symbols)
         else:
-            first = np.fromiter((f[0] for f in draws), dtype=np.int64,
-                                count=len(draws))
-            freqs = np.bincount(first - 1, minlength=n_symbols) / len(draws)
+            freqs = np.bincount(first - 1, minlength=n_symbols) / first.size
         self._freqs[history] = freqs
         return freqs
 
@@ -97,18 +97,14 @@ class CondEstimator:
         """Multi-step estimate: product of per-step empirical conditionals."""
         return float(np.prod(self.step_estimates(history, future)))
 
-    def passes_regularity(self, history: Seq, future: Seq,
-                          alpha: float) -> bool:
-        """Screen for well-conditioned futures.
-
-        Passes when every per-step empirical conditional exceeds ``2 * alpha``;
-        a future that fails is (with high probability) irregular at level
-        ``3 * alpha`` and its relative estimate cannot be trusted.
-        """
-        return bool(np.all(self.step_estimates(history, future) > 2.0 * alpha))
-
     def gated_cond_prob(self, history: Seq, future: Seq, alpha: float) -> float:
-        """Multi-step estimate, zeroed when the regularity screen fails."""
+        """Multi-step estimate, zeroed when the regularity screen fails.
+
+        The screen passes when every per-step empirical conditional exceeds
+        ``2 * alpha``; a future that fails is (with high probability)
+        irregular at level ``3 * alpha`` and its relative estimate cannot be
+        trusted.
+        """
         steps = self.step_estimates(history, future)
         if np.all(steps > 2.0 * alpha):
             return float(np.prod(steps))

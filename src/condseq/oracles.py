@@ -5,6 +5,11 @@ Learners never touch the underlying distribution directly; they go through an
 probabilities vs. conditional sampling), counts every query, and optionally
 enforces a total budget.  Joint-distribution samples (full sequences or
 truncated prefixes) are available in both modes and count one query per draw.
+
+Sampling queries come as arrays: ``sample_futures`` returns one row per drawn
+future and charges one query per row, however many of the future's symbols
+the caller asks for (a truncated draw is the prefix of a full one).
+``sample_query`` and ``sample_joint`` return the same draws as tuples.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sequences import Seq
+from .sequences import Seq, rows_as_seqs
 
 EXACT = "exact"
 SAMPLING = "sampling"
@@ -114,25 +119,33 @@ class OracleHandle:
 
     # -- sampling mode -----------------------------------------------------
 
-    def sample_query(self, history: Seq, size: int | None = None):
-        """Draw future(s) from ``Pr[· | history]`` — sampling mode only.
+    def sample_futures(self, history: Seq, size: int,
+                       steps: int | None = None) -> np.ndarray:
+        """First ``steps`` symbols of ``size`` draws from ``Pr[· | history]``.
 
-        Each returned sequence counts as one query.
+        Sampling mode only; returns a ``(size, steps)`` int64 array (all
+        ``T - len(history)`` symbols by default) and charges one query per row.
         """
         if self.mode != SAMPLING:
-            raise WrongOracleMode("sample_query requires a sampling-mode oracle")
+            raise WrongOracleMode("sample_futures requires a sampling-mode oracle")
+        history = tuple(history)
+        self._charge(size, len(history), "sample_queries")
+        return self.dist.sample_futures(history, self.rng, size, steps)
+
+    def sample_query(self, history: Seq, size: int | None = None):
+        """:meth:`sample_futures` draws as one tuple (``size=None``) or a list."""
         k = 1 if size is None else size
-        self._charge(k, len(history), "sample_queries")
-        return self.dist.sample_conditional(tuple(history), self.rng, size)
+        return rows_as_seqs(self.sample_futures(history, k), size)
 
     # -- both modes --------------------------------------------------------
 
     def sample_joint(self, t: int, size: int | None = None):
-        """Draw length-``t`` prefix(es) of full joint samples; one query each."""
+        """Length-``t`` prefix(es) of joint samples; one query each.
+
+        Only the first ``t`` symbols are simulated.
+        """
         if not 0 <= t <= self.horizon:
             raise ValueError("prefix length out of range")
         k = 1 if size is None else size
         self._charge(k, 0, "joint_queries")
-        full = self.dist.sample_conditional((), self.rng, size=k)
-        trimmed = [seq[:t] for seq in full]
-        return trimmed[0] if size is None else trimmed
+        return rows_as_seqs(self.dist.sample_futures((), self.rng, k, t), size)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import logging
 import math
 import time
-from collections import Counter
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -22,7 +21,7 @@ from .distributions import ZeroProbabilityHistory
 from .estimation import CondEstimator
 from .oom import OomModel
 from .oracles import SAMPLING, OracleHandle, WrongOracleMode
-from .sequences import Seq
+from .sequences import Seq, distinct_rows
 
 log = logging.getLogger(__name__)
 
@@ -113,59 +112,17 @@ def repeat_basis(members: list[Seq], coeff_norm: float) -> list[Seq]:
     return [b for b in members for _ in range(copies)]
 
 
-def estimate_relative_cond_prob(estimator: CondEstimator, history: Seq,
-                                future: Seq) -> float:
-    """Estimate of ``Pr[future | history]`` accurate in the relative sense.
-
-    Product of per-step empirical conditionals from the estimator's cached
-    histograms; the relative-error guarantee needs every step bounded away
-    from zero, which callers establish with ``regularity_test``.
-    """
-    return estimator.cond_prob(history, future)
-
-
-def regularity_test(estimator: CondEstimator, history: Seq, future: Seq,
-                    alpha: float) -> bool:
-    """Pass iff every per-step estimate of ``future`` exceeds ``2 * alpha``.
-
-    Passing futures are (with high probability) regular at level ``alpha``;
-    failing ones are irregular at level ``3 * alpha`` and are dropped from
-    preconditioned sums, which loses only a small, bounded slice of mass.
-    """
-    return estimator.passes_regularity(history, future, alpha)
-
-
 def _draw_future_batch(oracle: OracleHandle, history: Seq,
                        m: int) -> list[tuple[Seq, int]]:
-    """``m`` sampled futures of ``history`` as (value, multiplicity) pairs."""
+    """``m`` sampled futures of ``history`` as (value, multiplicity) pairs.
+
+    Distinct futures come in order of first appearance.
+    """
     try:
-        draws = oracle.sample_query(tuple(history), size=m)
+        draws = oracle.sample_futures(history, m)
     except ZeroProbabilityHistory:
         return []
-    return list(Counter(draws).items())
-
-
-def estimate_precond_sum(estimator: CondEstimator, b_star: Seq, x: Seq,
-                         members: list[Seq], params: AlgoParams) -> float:
-    """Preconditioned sum ``s(b_star, x)`` from a fresh batch of futures.
-
-    Draws ``entry_samples`` futures from ``Pr[. | x]``; each contributes the
-    ratio of its screened estimate given ``b_star`` to the mean of its
-    screened estimates across ``members`` (the mixture density).  Futures
-    whose mixture estimate is zero contribute nothing.
-    """
-    batch = _draw_future_batch(estimator.oracle, x, params.entry_samples)
-    total = 0.0
-    for future, count in batch:
-        rel = np.array([
-            estimator.gated_cond_prob(b, future, params.regularity)
-            for b in members
-        ])
-        mix = rel.mean()
-        if mix > 0.0:
-            top = estimator.gated_cond_prob(b_star, future, params.regularity)
-            total += count * top / mix
-    return total / params.entry_samples
+    return distinct_rows(draws, oracle.n_symbols)
 
 
 def estimate_sigma_and_q(estimator: CondEstimator, basis: list[Seq],

@@ -3,13 +3,17 @@
 Sequences are tuples of integer symbols from the alphabet ``{1, ..., n_symbols}``.
 The empty tuple is the empty history/future.  Lexicographic order of sequences
 coincides with the mixed-radix index order used throughout the package, so
-``index_to_seq(i)`` enumerates ``all_seqs`` in order.
+``index_to_seq(i)`` enumerates ``all_seqs`` in order.  Sampled batches travel
+as ``(k, L)`` int64 arrays of symbols, one sequence per row, and become tuples
+through :func:`distinct_rows` or :func:`rows_as_seqs`.
 """
 
 from __future__ import annotations
 
 import itertools
 from typing import Iterator, Sequence
+
+import numpy as np
 
 Seq = tuple[int, ...]
 
@@ -48,6 +52,34 @@ def index_to_seq(idx: int, n_symbols: int, length: int) -> Seq:
         idx, digit = divmod(idx, n_symbols)
         out.append(digit + 1)
     return tuple(reversed(out))
+
+
+def distinct_rows(rows: np.ndarray, n_symbols: int) -> list[tuple[Seq, int]]:
+    """Distinct rows of a ``(k, L)`` symbol array with their multiplicities.
+
+    Rows are collapsed through their :func:`seq_to_index` codes and returned
+    in order of first appearance, the order ``Counter(map(tuple,
+    rows)).items()`` gives.  Codes are int64, so ``n_symbols ** L`` must fit.
+    """
+    length = rows.shape[1]
+    if seq_count(n_symbols, length) > 2**63:
+        raise ValueError(f"{n_symbols}^{length} sequences overflow int64 codes")
+    radix = n_symbols ** np.arange(length - 1, -1, -1, dtype=np.int64)
+    _, first, counts = np.unique((rows - 1) @ radix, return_index=True,
+                                 return_counts=True)
+    order = np.argsort(first)
+    return list(zip(map(tuple, rows[first[order]].tolist()),
+                    counts[order].tolist()))
+
+
+def rows_as_seqs(rows: np.ndarray, size: int | None):
+    """Rows of a symbol array as tuples, following the ``size`` convention.
+
+    ``size=None`` asks for a single draw and gets the one row's tuple;
+    otherwise the list of all rows is returned.
+    """
+    seqs = list(map(tuple, rows.tolist()))
+    return seqs[0] if size is None else seqs
 
 
 def parse_seq(text: str) -> Seq:

@@ -12,7 +12,8 @@ import itertools
 
 import numpy as np
 
-from condseq.distributions import Hmm
+from condseq.distributions import Hmm, TableDist
+from condseq.sequences import index_to_seq
 
 
 def brute_force_joint(hmm: Hmm, seq) -> float:
@@ -49,3 +50,32 @@ def random_hmm(rng: np.random.Generator, n_states: int, n_symbols: int,
     transition = rng.dirichlet(np.ones(n_states), size=n_states).T
     return Hmm(mu=mu, emission=emission, transition=transition,
                horizon=horizon)
+
+
+def full_hmm_draws(hmm: Hmm, history, rng: np.random.Generator,
+                   size: int) -> list[tuple]:
+    """Whole futures of ``history`` by plain step-by-step simulation.
+
+    One uniform per draw per step, every step of every future simulated.
+    """
+    length = hmm.horizon - len(history)
+    beliefs = np.tile(hmm.forward_filter(history).probs, (size, 1))
+    out = np.empty((size, length), dtype=np.int64)
+    for j in range(length):
+        cum = np.cumsum(beliefs @ hmm.emission.T, axis=1)
+        cum[:, -1] = np.maximum(cum[:, -1], 1.0)
+        symbols = (cum > rng.random(size)[:, None]).argmax(axis=1)
+        out[:, j] = symbols + 1
+        w = beliefs * hmm.emission[symbols, :]
+        norm = np.maximum(w.sum(axis=1, keepdims=True), 1e-300)
+        beliefs = (w / norm) @ hmm.transition.T
+    return [tuple(int(o) for o in row) for row in out]
+
+
+def full_table_draws(table: TableDist, history, rng: np.random.Generator,
+                     size: int) -> list[tuple]:
+    """Whole futures of ``history``: one completion index per draw."""
+    length = table.horizon - len(history)
+    block = table._prefix_slice(history).reshape(-1)
+    idx = rng.choice(block.size, size=size, p=block / block.sum())
+    return [index_to_seq(int(i), table.n_symbols, length) for i in idx]

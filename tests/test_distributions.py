@@ -21,7 +21,12 @@ from condseq.distributions import (
 )
 from condseq.sequences import all_seqs, seq_to_index
 
-from _reference import brute_force_joint, random_hmm
+from _reference import (
+    brute_force_joint,
+    full_hmm_draws,
+    full_table_draws,
+    random_hmm,
+)
 
 HAND_TABLE = TableDist(np.array([0.1, 0.2, 0.3, 0.4]), n_symbols=2, horizon=2)
 
@@ -184,6 +189,44 @@ def test_hmm_sampling_matches_conditionals():
     freq_first = np.mean([f[0] == 1 for f in draws])
     expected = hmm.conditional_prob((1,), (1,))
     assert freq_first == pytest.approx(expected, abs=0.03)
+
+
+STREAM_CASES = pytest.mark.parametrize("dist, full_draws", [
+    (random_hmm(np.random.default_rng(17), 3, 3, 5), full_hmm_draws),
+    (TableDist(np.random.default_rng(18).dirichlet(np.ones(3**4)), n_symbols=3,
+               horizon=4), full_table_draws),
+], ids=["hmm", "table"])
+
+
+@STREAM_CASES
+def test_truncated_draws_are_prefixes_of_full_draws(dist, full_draws):
+    for history in [(), (2,), (3, 1)]:
+        length = dist.horizon - len(history)
+        for steps in range(length + 1):
+            new_rng = np.random.default_rng(steps)
+            old_rng = np.random.default_rng(steps)
+            got = dist.sample_futures(history, new_rng, 60, steps=steps)
+            assert got.dtype == np.int64 and got.shape == (60, steps)
+            want = full_draws(dist, history, old_rng, 60)
+            assert got.tolist() == [list(f[:steps]) for f in want]
+            # the truncated draw left the generator where a full one does
+            after = dist.sample_futures(history, new_rng, 25)
+            assert after.tolist() == [list(f) for f in full_draws(
+                dist, history, old_rng, 25)]
+
+
+@STREAM_CASES
+def test_sample_conditional_is_the_tuple_edge(dist, full_draws):
+    new_rng, old_rng = np.random.default_rng(3), np.random.default_rng(3)
+    assert dist.sample_conditional((1,), new_rng, size=40) == full_draws(
+        dist, (1,), old_rng, 40)
+    assert dist.sample_conditional((1,), new_rng) == full_draws(
+        dist, (1,), old_rng, 1)[0]
+    assert dist.sample_conditional((1,), new_rng, size=0) == []
+    with pytest.raises(ValueError):
+        dist.sample_futures((1,), new_rng, 5, steps=dist.horizon)
+    with pytest.raises(ValueError):
+        dist.sample_futures((1,), new_rng, 5, steps=-1)
 
 
 def test_generic_wrappers_dispatch():

@@ -62,8 +62,8 @@ def test_zero_probability_history_yields_zero_histogram():
 def test_regularity_screen():
     est, _ = _estimator(TABLE, samples=8000, seed=1)
     # steps from () are (0.3, 0.7): alpha = 0.1 keeps both, 0.2 kills symbol 1
-    assert est.passes_regularity((), (2, 2), alpha=0.1)
-    assert not est.passes_regularity((), (1,), alpha=0.2)
+    assert est.gated_cond_prob((), (2, 2), alpha=0.1) > 0.0
+    assert est.gated_cond_prob((), (1,), alpha=0.2) == 0.0
     gated = est.gated_cond_prob((), (1, 2), alpha=0.1)
     assert gated == pytest.approx(0.2, abs=0.03)
     assert est.gated_cond_prob((), (1, 2), alpha=0.2) == 0.0

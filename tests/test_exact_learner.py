@@ -61,13 +61,10 @@ def test_rank_one_instance_needs_no_counterexamples():
         def next_symbol_probs(self, history):
             return const.probs.copy()
 
-        def sample_conditional(self, history, rng, size=None):
+        def sample_futures(self, history, rng, size, steps=None):
             length = self.horizon - len(history)
-            k = 1 if size is None else size
-            draws = [tuple(int(o) + 1 for o in rng.choice(2, size=length,
-                                                          p=const.probs))
-                     for _ in range(k)]
-            return draws[0] if size is None else draws
+            draws = rng.choice(2, size=(size, length), p=const.probs) + 1
+            return draws[:, :length if steps is None else steps]
 
     dist = Product()
     _, model, info = _learn(dist, n_override=50)

@@ -2,11 +2,15 @@ import numpy as np
 import pytest
 
 from condseq.distributions import TableDist
+from condseq.estimation import CondEstimator
+from condseq.generators import make_parity_hmm
 from condseq.oracles import (
     BudgetExceeded,
     OracleHandle,
     WrongOracleMode,
 )
+
+from _reference import full_hmm_draws, full_table_draws
 
 TABLE = TableDist(np.array([0.1, 0.2, 0.3, 0.4]), n_symbols=2, horizon=2)
 
@@ -71,6 +75,38 @@ def test_sample_query_frequencies():
     freq = np.mean([f == (1,) for f in draws])
     assert freq == pytest.approx(3 / 7, abs=0.03)
     assert oracle.stats.sample_queries == 4000
+
+
+def test_sample_futures_charges_one_query_per_row():
+    oracle = OracleHandle(TABLE, mode="sampling", seed=2)
+    draws = oracle.sample_futures((1,), 30, steps=0)
+    assert draws.shape == (30, 0)
+    oracle.sample_futures((), 20)
+    assert oracle.stats.sample_queries == 50
+    assert oracle.stats.by_history_length == {0: 20, 1: 30}
+    with pytest.raises(WrongOracleMode):
+        OracleHandle(TABLE, mode="exact").sample_futures((), 1)
+
+
+def test_sample_joint_equals_prefixes_of_full_draws():
+    hmm = make_parity_hmm(5, alpha=0.3)
+    for dist, full_draws in [(hmm, full_hmm_draws), (TABLE, full_table_draws)]:
+        oracle = OracleHandle(dist, mode="sampling", seed=21)
+        rng = np.random.default_rng(21)
+        for t in [1, 0, dist.horizon]:
+            got = oracle.sample_joint(t, size=40)
+            assert got == [f[:t] for f in full_draws(dist, (), rng, 40)]
+
+
+def test_next_symbol_freqs_equal_first_symbol_histogram_of_full_draws():
+    hmm = make_parity_hmm(5, alpha=0.3)
+    est = CondEstimator(OracleHandle(hmm, mode="sampling", seed=8), 500)
+    rng = np.random.default_rng(8)
+    for history in [(), (1, 2), (2,), (2, 2, 1, 1)]:
+        first = [f[0] for f in full_hmm_draws(hmm, history, rng, 500)]
+        want = np.bincount(np.array(first) - 1, minlength=2) / 500
+        np.testing.assert_array_equal(est.next_symbol_freqs(history), want)
+    assert est.oracle.stats.sample_queries == 4 * 500
 
 
 def test_stats_as_dict_round_trip():

@@ -14,7 +14,6 @@ from condseq.sampling_learner import (
     PrecondEstimates,
     assemble_operator,
     draw_basis,
-    estimate_precond_sum,
     estimate_sigma_and_q,
     learn_sampling,
     repeat_basis,
@@ -163,8 +162,8 @@ def test_precond_sum_of_member_with_itself_is_one():
     oracle = OracleHandle(hmm, mode="sampling", seed=1)
     est = CondEstimator(oracle, samples_per_history=5000)
     params = AlgoParams(basis_size=1, entry_samples=5000, step_samples=5000)
-    s = estimate_precond_sum(est, member, member, [member], params)
-    assert s == pytest.approx(1.0, abs=0.05)
+    moments = estimate_sigma_and_q(est, [member], [(1,)], params)
+    assert moments.sigma[0, 0] == pytest.approx(1.0, abs=0.05)
 
 
 def test_learn_sampling_one_state_instance():

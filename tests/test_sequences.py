@@ -1,9 +1,13 @@
+from collections import Counter
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from condseq.sequences import (
     all_seqs,
+    distinct_rows,
     format_seq,
     index_to_seq,
     parse_seq,
@@ -55,3 +59,26 @@ def test_parse_and_format_round_trip():
 def test_parse_seq_rejects_garbage():
     with pytest.raises(ValueError):
         parse_seq("1,x,2")
+
+
+@st.composite
+def symbol_rows(draw):
+    n_symbols = draw(st.integers(1, 4))
+    length = draw(st.integers(0, 6))
+    row = st.lists(st.integers(1, n_symbols), min_size=length, max_size=length)
+    rows = draw(st.lists(row, max_size=40))
+    return n_symbols, np.array(rows, dtype=np.int64).reshape(len(rows), length)
+
+
+@given(symbol_rows())
+def test_distinct_rows_matches_counter_in_order(case):
+    n_symbols, rows = case
+    assert distinct_rows(rows, n_symbols) == list(
+        Counter(map(tuple, rows.tolist())).items())
+
+
+def test_distinct_rows_code_range():
+    longest = np.full((2, 63), 2, dtype=np.int64)
+    assert distinct_rows(longest, 2) == [((2,) * 63, 2)]
+    with pytest.raises(ValueError):
+        distinct_rows(np.ones((1, 64), dtype=np.int64), 2)
