@@ -4,88 +4,48 @@ Library and CLI for learning fixed-horizon sequence distributions from two
 kinds of oracle access — exact conditional probabilities, or conditional
 sampling only — together with exhaustive ground-truth evaluation at desk
 scale: exact TV distances, basis fidelity spectra, and rank diagnostics.
+
+Submodules load on first use of one of their names, so importing the
+enumeration referee (``distributions``, ``metrics``, ``generators``, ``oom``)
+pulls in no learner code.
 """
 
-from .approx_basis import (ApproxBasisState, RoundCapExceeded,
-                           elliptical_potential, elliptical_potential_bound,
-                           find_approx_basis, min_capped_ridge)
-from .bench import (ExperimentConfig, ExperimentReport, build_instance,
-                    run_experiment)
-from .distributions import (EnumerationCapError, Hmm, TableDist,
-                            ZeroProbabilityHistory, cond_matrix,
-                            enumerate_joint, load_hmm, rank_of, save_hmm)
-from .estimation import CondEstimator
-from .exact_learner import LearnerInvariantError, learn_exact
-from .generators import (greedy_spanning_bases, make_full_rank_hmm,
-                         make_overcomplete_hmm, make_parity_hmm,
-                         make_random_table, one_step_bases,
-                         parity_class_bases, perturb_conditionals)
-from .metrics import (FidelityReport, expected_span_residual,
-                      fidelity_for_bases, irregular_mass, robust_sigma,
-                      tv_conditional_bound, tv_exact)
-from .oom import (BasisSpanError, OomModel, construct_exact_operators,
-                  eval_prob, load_model, save_model, to_distribution)
-from .oracles import (BudgetExceeded, OracleHandle, OracleStats,
-                      WrongOracleMode)
-from .sampling_learner import AlgoParams, PrecondEstimates, learn_sampling
-from .sequences import Seq, all_seqs, format_seq, parse_seq
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlgoParams",
-    "ApproxBasisState",
-    "BasisSpanError",
-    "BudgetExceeded",
-    "CondEstimator",
-    "EnumerationCapError",
-    "ExperimentConfig",
-    "ExperimentReport",
-    "FidelityReport",
-    "Hmm",
-    "LearnerInvariantError",
-    "OomModel",
-    "OracleHandle",
-    "OracleStats",
-    "PrecondEstimates",
-    "RoundCapExceeded",
-    "Seq",
-    "TableDist",
-    "WrongOracleMode",
-    "ZeroProbabilityHistory",
-    "all_seqs",
-    "build_instance",
-    "cond_matrix",
-    "construct_exact_operators",
-    "elliptical_potential",
-    "elliptical_potential_bound",
-    "enumerate_joint",
-    "eval_prob",
-    "expected_span_residual",
-    "fidelity_for_bases",
-    "find_approx_basis",
-    "format_seq",
-    "greedy_spanning_bases",
-    "irregular_mass",
-    "learn_exact",
-    "learn_sampling",
-    "load_hmm",
-    "load_model",
-    "make_full_rank_hmm",
-    "make_overcomplete_hmm",
-    "make_parity_hmm",
-    "make_random_table",
-    "min_capped_ridge",
-    "one_step_bases",
-    "parity_class_bases",
-    "parse_seq",
-    "perturb_conditionals",
-    "rank_of",
-    "robust_sigma",
-    "run_experiment",
-    "save_hmm",
-    "save_model",
-    "to_distribution",
-    "tv_conditional_bound",
-    "tv_exact",
-]
+# Public name -> submodule defining it.
+_EXPORTS = {name: module for module, names in {
+    "approx_basis": "ApproxBasisState RoundCapExceeded elliptical_potential "
+                    "elliptical_potential_bound find_approx_basis min_capped_ridge",
+    "bench": "ExperimentConfig ExperimentReport build_instance run_experiment",
+    "distributions": "EnumerationCapError Hmm TableDist ZeroProbabilityHistory "
+                     "cond_matrix enumerate_joint load_hmm rank_of save_hmm",
+    "estimation": "CondEstimator",
+    "exact_learner": "LearnerInvariantError learn_exact",
+    "generators": "greedy_spanning_bases make_full_rank_hmm make_overcomplete_hmm "
+                  "make_parity_hmm make_random_table one_step_bases "
+                  "parity_class_bases perturb_conditionals",
+    "metrics": "FidelityReport expected_span_residual fidelity_for_bases "
+               "irregular_mass robust_sigma tv_conditional_bound tv_exact",
+    "oom": "BasisSpanError OomModel construct_exact_operators eval_prob "
+           "load_model save_model to_distribution",
+    "oracles": "BudgetExceeded OracleHandle OracleStats WrongOracleMode",
+    "sampling_learner": "AlgoParams PrecondEstimates learn_sampling",
+    "sequences": "Seq all_seqs format_seq parse_seq",
+}.items() for name in names.split()}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

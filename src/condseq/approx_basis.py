@@ -167,7 +167,7 @@ def min_capped_ridge(target_ratios, member_ratios, cap: float,
 
 
 def find_approx_basis(oracle: OracleHandle, t: int, eps: float = 0.1,
-                      fail_prob: float = 0.1, regularity: float = 0.05,
+                      regularity: float = 0.05,
                       rank_bound: int = 2, candidates_per_round: int = 16,
                       loss_samples: int = 2000, step_samples: int = 10_000,
                       repeat_for_unit_norm: bool = True,
@@ -181,8 +181,7 @@ def find_approx_basis(oracle: OracleHandle, t: int, eps: float = 0.1,
     candidate certifies the basis and ends the search.  With
     ``repeat_for_unit_norm`` the returned list duplicates each member enough
     times that unit-norm coefficients suffice downstream (the report keeps
-    the distinct members).  ``fail_prob`` only enters the conservative
-    sample-count schedules, which the explicit knobs here override.
+    the distinct members).
 
     Raises ``RoundCapExceeded`` when the round budget runs out, which means
     the declared regularity or rank bound does not hold.
@@ -208,8 +207,8 @@ def find_approx_basis(oracle: OracleHandle, t: int, eps: float = 0.1,
             "loss_threshold": threshold,
             "rounds": state.rounds,
             "params": {
-                "t": t, "eps": eps, "fail_prob": fail_prob,
-                "regularity": regularity, "rank_bound": rank_bound,
+                "t": t, "eps": eps, "regularity": regularity,
+                "rank_bound": rank_bound,
                 "candidates_per_round": candidates_per_round,
                 "loss_samples": loss_samples, "step_samples": step_samples,
                 "repeat_for_unit_norm": repeat_for_unit_norm, "seed": seed,

@@ -10,8 +10,9 @@ reproducible from (config, seed) except for the ``seconds`` timing fields.
 
 from __future__ import annotations
 
+import inspect
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,15 @@ INSTANCE_KINDS = ("parity", "full-rank", "overcomplete", "random-table", "file")
 # Enumeration-based evaluation is only attempted below this table size.
 EVAL_ENUM_LIMIT = 2**16
 
+# The ``params`` keys each algorithm takes; the runner supplies the oracle and,
+# for the basis search, the seed.
+ALGORITHM_PARAMS = {
+    "exact": frozenset(inspect.signature(learn_exact).parameters) - {"oracle"},
+    "sampling": frozenset(f.name for f in fields(AlgoParams)),
+    "approx-basis": (frozenset(inspect.signature(find_approx_basis).parameters)
+                     - {"oracle", "seed"}),
+}
+
 
 @dataclass
 class ExperimentConfig:
@@ -54,6 +64,10 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}")
+        unknown = set(self.params) - ALGORITHM_PARAMS[self.algorithm]
+        if unknown:
+            raise ValueError(f"unknown config keys: params {sorted(unknown)} "
+                             f"(algorithm {self.algorithm!r})")
         kind = self.instance.get("kind")
         if kind not in INSTANCE_KINDS:
             raise ValueError(f"instance kind must be one of {INSTANCE_KINDS}")
@@ -215,7 +229,7 @@ def _run_seed(dist, config: ExperimentConfig, seed: int) -> dict:
             _evaluate(dist, to_distribution(model, flavor="auto"),
                       config.eval, seed, out)
         elif config.algorithm == "sampling":
-            params = AlgoParams(**{**config.params, "seed": seed})
+            params = AlgoParams(**config.params)
             model, info = learn_sampling(oracle, params)
             out["basis_sizes"] = info["basis_sizes"]
             out["kept_dims"] = [lv.get("kept_dim") for lv in info["levels"]

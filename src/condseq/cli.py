@@ -74,7 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
     samp.add_argument("--eig-threshold", type=float)
     samp.add_argument("--ridge", type=float)
     samp.add_argument("--regularity", type=float)
-    samp.add_argument("--rel-accuracy", type=float)
     samp.add_argument("--coeff-norm", type=float)
     samp.add_argument("--step-samples", type=int)
     samp.set_defaults(func=_cmd_learn_sampling)
@@ -224,8 +223,8 @@ def _cmd_learn_sampling(args) -> int:
     params = _collect({
         "basis_size": args.basis_size, "entry_samples": args.entry_samples,
         "eig_threshold": args.eig_threshold, "ridge": args.ridge,
-        "regularity": args.regularity, "rel_accuracy": args.rel_accuracy,
-        "coeff_norm": args.coeff_norm, "step_samples": args.step_samples,
+        "regularity": args.regularity, "coeff_norm": args.coeff_norm,
+        "step_samples": args.step_samples,
     })
     return _run_and_print(
         _config_from_args(args, "sampling", params, _eval_cfg_from_args(args)))

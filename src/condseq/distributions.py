@@ -21,6 +21,15 @@ Conditioning on a zero-probability history follows different conventions per
 type: an HMM resets its state belief to uniform at the step where the
 probability dies and keeps filtering (so conditionals stay well defined), while
 a :class:`TableDist` raises (there is no latent state to fall back on).
+
+Every enumeration of conditionals goes through one layer.  The kernel is
+:meth:`Hmm.filter_batch`: from ``(N, S)`` beliefs it gives each symbol's
+probability and the ``(N·O, S)`` next beliefs, with the uniform reset of
+:meth:`Hmm.step`.  On it sits :func:`future_table`, the ``(n, O**length)``
+table of ``Pr[f | h]``, built either for all length-``t`` histories (with
+their joint probabilities, by running the kernel forward from ``mu``) or for
+an explicit list of histories, each filtered once.  Tables and learned-model
+wrappers fill the same table entry by entry through ``conditional_prob``.
 """
 
 from __future__ import annotations
@@ -30,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sequences import Seq, all_seqs, rows_as_seqs, seq_count, seq_to_index
+from .sequences import Seq, all_seqs, rows_as_seqs, seq_count
 
 # Guard for every exhaustive enumeration over O^T sequences.
 ENUM_CAP = 2**20
@@ -211,31 +220,22 @@ class Hmm:
         k = 1 if size is None else size
         return rows_as_seqs(self.sample_futures(history, rng, k), size)
 
-    # -- exhaustive helpers ------------------------------------------------
+    # -- batched filtering -------------------------------------------------
 
-    def prefix_tree(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Vectorized forward pass over all prefixes.
+    def filter_batch(self, beliefs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One filtering step from every row of an ``(N, S)`` belief array.
 
-        Returns ``(probs, beliefs)`` where ``probs[t]`` has shape ``(O**t,)``
-        with the joint probability of every length-``t`` prefix in
-        lexicographic order, and ``beliefs[t]`` has shape ``(O**t, S)`` with
-        the (uniform-reset) posterior after each prefix.
+        Returns the ``(N, O)`` symbol probabilities and the ``(N·O, S)`` next
+        beliefs, row ``n·O + o - 1`` being row ``n`` after observing ``o``.
+        A zero-probability symbol resets its next belief to uniform, as
+        :meth:`step` does.
         """
-        _check_enum(self.n_symbols, self.horizon)
-        O, S, T = self.n_symbols, self.n_states, self.horizon
-        probs = [np.ones(1)]
-        beliefs = [self.mu[None, :].copy()]
-        for _ in range(T):
-            bel = beliefs[-1]  # (N, S)
-            p_sym = bel @ self.emission.T  # (N, O)
-            joint = probs[-1][:, None] * p_sym  # (N, O)
-            w = bel[:, None, :] * self.emission[None, :, :]  # (N, O, S)
-            norm = np.maximum(p_sym[:, :, None], 1e-300)
-            nxt = (w / norm) @ self.transition.T  # (N, O, S)
-            nxt[p_sym <= 0.0] = 1.0 / S  # same reset as ``step``
-            probs.append(joint.reshape(-1))
-            beliefs.append(nxt.reshape(-1, S))
-        return probs, beliefs
+        p_sym = beliefs @ self.emission.T  # (N, O)
+        w = beliefs[:, None, :] * self.emission[None, :, :]  # (N, O, S)
+        norm = np.maximum(p_sym[:, :, None], 1e-300)
+        nxt = (w / norm) @ self.transition.T  # (N, O, S)
+        nxt[p_sym <= 0.0] = 1.0 / self.n_states
+        return p_sym, nxt.reshape(-1, self.n_states)
 
 
 @dataclass
@@ -331,31 +331,102 @@ def _check_steps(length: int, steps: int | None) -> int:
 # ---------------------------------------------------------------------------
 
 
-def joint_prob(dist, seq: Seq) -> float:
-    return dist.joint_prob(tuple(seq))
-
-
-def conditional_prob(dist, history: Seq, future: Seq) -> float:
-    return dist.conditional_prob(tuple(history), tuple(future))
-
-
-def sample_conditional(dist, history: Seq, rng: np.random.Generator,
-                       size: int | None = None):
-    return dist.sample_conditional(tuple(history), rng, size)
-
-
 def enumerate_joint(dist) -> np.ndarray:
     """All ``O**T`` sequence probabilities in lexicographic order."""
     if isinstance(dist, TableDist):
         return dist.probs.copy()
     if isinstance(dist, Hmm):
-        return dist.prefix_tree()[0][dist.horizon]
+        _check_enum(dist.n_symbols, dist.horizon)
+        return _tree_probs(dist, dist.mu[None, :], dist.horizon)[0][0]
     O, T = dist.n_symbols, dist.horizon
     _check_enum(O, T)
     out = np.empty(seq_count(O, T))
     for i, seq in enumerate(all_seqs(O, T)):
         out[i] = dist.joint_prob(seq)
     return out
+
+
+def future_table(dist, length: int, histories: list[Seq] | None = None,
+                 t: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``(joint, table)``: ``joint[i] = Pr[h_i]``, ``table[i, j] = Pr[f_j | h_i]``.
+
+    Histories are all of length ``t`` in lexicographic order, or the given
+    list; futures are all of length ``length``, in lexicographic order.  An
+    :class:`Hmm` runs :meth:`Hmm.filter_batch` forward from ``mu`` for all
+    length-``t`` histories; a listed history is filtered once, continuing
+    from an earlier listed prefix, and its row is expanded on its own, so it
+    does not depend on the rest of the list.  Zero-probability HMM histories
+    follow the uniform reset.  Other distributions answer one
+    ``conditional_prob`` per entry, leaving zero rows for zero-probability
+    histories of length ``t``.
+    """
+    if (histories is None) == (t is None):
+        raise ValueError("pass exactly one of histories and t")
+    O = dist.n_symbols
+    if histories is None:
+        if not 0 <= t <= dist.horizon - length:
+            raise ValueError("history plus future exceed horizon")
+        _check_enum(O, t + length)
+        if isinstance(dist, Hmm):
+            joint, beliefs = _tree_probs(dist, dist.mu[None, :], t,
+                                         keep_beliefs=True)
+            return joint[0], _tree_probs(dist, beliefs, length)[0]
+        histories = list(all_seqs(O, t))
+    else:
+        histories = [tuple(h) for h in histories]
+        if any(len(h) + length > dist.horizon for h in histories):
+            raise ValueError("history plus future exceed horizon")
+        _check_enum(O, length)
+        if isinstance(dist, Hmm):
+            joint, beliefs = _filter_each(dist, histories)
+            table = np.empty((len(histories), seq_count(O, length)))
+            for i, belief in enumerate(beliefs):
+                table[i] = _tree_probs(dist, belief[None, :], length)[0][0]
+            return joint, table
+    joint = np.array([dist.joint_prob(h) for h in histories], dtype=float)
+    futures = list(all_seqs(O, length))
+    table = np.zeros((len(histories), len(futures)))
+    for i, h in enumerate(histories):
+        if t is None or joint[i] > 0.0:
+            table[i] = [dist.conditional_prob(h, f) for f in futures]
+    return joint, table
+
+
+def _tree_probs(hmm: Hmm, beliefs: np.ndarray, length: int,
+                keep_beliefs: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Probabilities of every length-``length`` continuation of each belief.
+
+    Returns the ``(N, O**length)`` probabilities and the beliefs after each
+    continuation, ``(N·O**length, S)``; the last step skips computing those
+    beliefs unless ``keep_beliefs`` asks for them.
+    """
+    probs = np.ones((beliefs.shape[0], 1))
+    for step in range(length):
+        if keep_beliefs or step + 1 < length:
+            p_sym, beliefs = hmm.filter_batch(beliefs)
+        else:
+            p_sym = beliefs @ hmm.emission.T
+        probs = (probs.reshape(-1, 1) * p_sym).reshape(probs.shape[0], -1)
+    return probs, beliefs
+
+
+def _filter_each(hmm: Hmm, histories: list[Seq]) -> tuple[np.ndarray, list]:
+    """Joint probability and :meth:`Hmm.forward_filter` belief of each history.
+
+    A history continues from the longest prefix filtered before it.
+    """
+    known: dict[Seq, tuple[np.ndarray, float]] = {(): (hmm.mu.copy(), 1.0)}
+    for h in histories:
+        k = len(h)
+        while h[:k] not in known:
+            k -= 1
+        belief, prob = known[h[:k]]
+        for j in range(k, len(h)):
+            belief, p = hmm.step(belief, h[j])
+            prob *= p
+            known[h[:j + 1]] = (belief, prob)
+    return (np.array([known[h][1] for h in histories], dtype=float),
+            [known[h][0] for h in histories])
 
 
 def cond_matrix(dist, t: int, future_scheme: str = "exact") -> np.ndarray:
@@ -374,43 +445,26 @@ def cond_matrix(dist, t: int, future_scheme: str = "exact") -> np.ndarray:
     if not 0 <= t <= T:
         raise ValueError("split must be between 0 and the horizon")
     _check_enum(O, T)
-
-    hist_list = list(all_seqs(O, t))
-    if isinstance(dist, TableDist):
-        hist_list = [h for h in hist_list if dist.joint_prob(h) > 0.0]
     lengths = [T - t] if future_scheme == "exact" else list(range(1, T - t + 1))
-    n_rows = sum(seq_count(O, ell) for ell in lengths)
-    mat = np.empty((n_rows, len(hist_list)))
-    for j, h in enumerate(hist_list):
-        r = 0
-        for ell in lengths:
-            col = _future_probs(dist, h, ell)
-            mat[r:r + col.size, j] = col
-            r += col.size
+    blocks = [future_table(dist, ell, t=t)[1].T for ell in lengths]
+    # the empty block keeps the column count when there is no future length
+    mat = np.vstack([np.empty((0, seq_count(O, t))), *blocks])
+    if isinstance(dist, TableDist):
+        mat = mat[:, future_table(dist, 0, t=t)[0] > 0.0]
     return mat
 
 
-def _future_probs(dist, history: Seq, length: int) -> np.ndarray:
-    """Conditional probabilities of every length-``length`` future, in order."""
-    if isinstance(dist, Hmm):
-        belief = dist.forward_filter(history).probs
-        S = dist.n_states
-        probs = np.ones(1)
-        bel = belief[None, :]
-        for _ in range(length):
-            p_sym = bel @ dist.emission.T
-            joint = probs[:, None] * p_sym
-            w = bel[:, None, :] * dist.emission[None, :, :]
-            norm = np.maximum(p_sym[:, :, None], 1e-300)
-            nxt = (w / norm) @ dist.transition.T
-            nxt[p_sym <= 0.0] = 1.0 / S
-            bel = nxt.reshape(-1, S)
-            probs = joint.reshape(-1)
-        return probs
-    out = np.empty(seq_count(dist.n_symbols, length))
-    for i, f in enumerate(all_seqs(dist.n_symbols, length)):
-        out[i] = dist.conditional_prob(history, f)
-    return out
+def numerical_rank(mat: np.ndarray, tol: float) -> int:
+    """Number of singular values above ``tol`` times the largest.
+
+    An empty or all-zero matrix has rank 0.
+    """
+    if mat.size == 0:
+        return 0
+    s = np.linalg.svd(mat, compute_uv=False)
+    if s[0] <= 0.0:
+        return 0
+    return int(np.sum(s > tol * s[0]))
 
 
 def rank_of(dist, tol: float = 1e-8) -> int:
@@ -422,15 +476,8 @@ def rank_of(dist, tol: float = 1e-8) -> int:
     T = dist.horizon
     if T == 1:
         return 1
-    best = 0
-    for t in range(1, T):
-        mat = cond_matrix(dist, t, future_scheme="upto")
-        if mat.size == 0:
-            continue
-        s = np.linalg.svd(mat, compute_uv=False)
-        if s.size and s[0] > 0.0:
-            best = max(best, int(np.sum(s > tol * s[0])))
-    return best
+    return max(numerical_rank(cond_matrix(dist, t, future_scheme="upto"), tol)
+               for t in range(1, T))
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +488,65 @@ _HMM_HEADER = "condseq-hmm v1"
 
 
 def _fmt(x: float) -> str:
+    """Shortest text that reads back as the same float (model and HMM files)."""
     return format(float(x), ".17g")
+
+
+class _TextLines:
+    """The non-blank lines of a text file, consumed in order.
+
+    Parse errors are ``ValueError``s naming the line concerned, or the line
+    past the end when the text stops short.
+    """
+
+    def __init__(self, text: str) -> None:
+        self._lines = [(n, ln.strip()) for n, ln in enumerate(text.splitlines(), 1)
+                       if ln.strip()]
+        self._pos = 0
+
+    def peek(self) -> str:
+        """First word of the next line ("" at the end)."""
+        return self._lines[self._pos][1].split()[0] if self._more() else ""
+
+    def _more(self) -> bool:
+        return self._pos < len(self._lines)
+
+    def error(self, message: str) -> ValueError:
+        n = (self._lines[self._pos][0] if self._more()
+             else self._lines[-1][0] + 1 if self._lines else 1)
+        return ValueError(f"line {n}: {message}")
+
+    def line(self, what: str, text: str | None = None, count: int = 0,
+             kind=float, expected: list | None = None) -> list:
+        """The ``count`` values after ``text`` (when given) on the next line.
+
+        Each value must convert with ``kind`` and equal its entry of
+        ``expected`` where that is not ``None``.
+        """
+        if not self._more():
+            raise self.error(f"the text ends where {what} was expected")
+        line = self._lines[self._pos][1]
+        if text is not None and not (line + " ").startswith(text + " "):
+            raise self.error(f"expected {what}")
+        words = line[len(text or ""):].split()
+        if len(words) != count:
+            raise self.error(f"{what} needs {count} values, got {len(words)}")
+        try:
+            values = [kind(v) for v in words]
+        except ValueError:
+            raise self.error(f"{what} holds a malformed value") from None
+        if any(want not in (None, got) for want, got in zip(expected or [], values)):
+            raise self.error(f"{what} should read {expected}, got {values}")
+        self._pos += 1
+        return values
+
+    def matrix(self, what: str, rows: int, cols: int) -> np.ndarray:
+        return np.array([self.line(f"{what} row {r + 1}", count=cols)
+                         for r in range(rows)]).reshape(rows, cols)
+
+    def finish(self) -> None:
+        if self._more():
+            raise self.error("unexpected content after the last section")
 
 
 def hmm_to_text(hmm: Hmm) -> str:
@@ -460,28 +565,17 @@ def hmm_to_text(hmm: Hmm) -> str:
 
 
 def hmm_from_text(text: str) -> Hmm:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != _HMM_HEADER:
-        raise ValueError("not a condseq HMM file")
-    header: dict[str, int] = {}
-    i = 1
-    while i < len(lines) and lines[i].split()[0] in ("S", "O", "T"):
-        key, val = lines[i].split()
-        header[key] = int(val)
-        i += 1
-    S, O = header["S"], header["O"]
-    if not lines[i].startswith("mu "):
-        raise ValueError("missing mu line")
-    mu = np.array([float(v) for v in lines[i].split()[1:]])
-    i += 1
-    if lines[i].strip() != "emission":
-        raise ValueError("missing emission block")
-    emission = np.array([[float(v) for v in lines[i + 1 + r].split()] for r in range(O)])
-    i += 1 + O
-    if lines[i].strip() != "transition":
-        raise ValueError("missing transition block")
-    transition = np.array([[float(v) for v in lines[i + 1 + r].split()] for r in range(S)])
-    return Hmm(mu=mu, emission=emission, transition=transition, horizon=header["T"])
+    """Parse :func:`hmm_to_text` output; raises ``ValueError`` naming the line."""
+    lines = _TextLines(text)
+    lines.line("the condseq HMM header", _HMM_HEADER)
+    S, O, T = (lines.line(f"the {key} line", key, 1, int)[0] for key in "SOT")
+    mu = np.array(lines.line("the mu line", "mu", S))
+    lines.line("the emission block", "emission")
+    emission = lines.matrix("emission", O, S)
+    lines.line("the transition block", "transition")
+    transition = lines.matrix("transition", S, S)
+    lines.finish()
+    return Hmm(mu=mu, emission=emission, transition=transition, horizon=T)
 
 
 def save_hmm(hmm: Hmm, path) -> None:

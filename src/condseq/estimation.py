@@ -9,29 +9,11 @@ history that appears in many estimates is sampled once.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .distributions import ZeroProbabilityHistory
 from .oracles import OracleHandle
 from .sequences import Seq
-
-
-def schedule_samples_per_step(horizon: int, rel_accuracy: float,
-                              regularity: float, fail_prob: float) -> int:
-    """Conservative per-step sample count for a relative-accuracy target.
-
-    Grows as ``T^2 log(T / fail_prob) / (rel_accuracy * regularity)^2`` and is
-    far beyond desk-scale budgets for any interesting setting, which is why
-    ``CondEstimator`` takes the count as an explicit knob instead.  Exposed so
-    callers can report how aggressive their chosen knob is.
-    """
-    if not 0.0 < rel_accuracy < 0.5:
-        raise ValueError("rel_accuracy must lie in (0, 1/2)")
-    t = max(horizon, 1)
-    return math.ceil(t * t * math.log(max(t, 2) / fail_prob)
-                     / (rel_accuracy * regularity) ** 2)
 
 
 class CondEstimator:

@@ -17,12 +17,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .distributions import numerical_rank
 from .oom import OomModel
 from .oracles import OracleHandle
 from .sequences import Seq
 
 EQ_TOL = 1e-9          # |prediction - oracle| above this is a counterexample
 DET_TOL = 1e-12        # invertibility floor for the maintained matrices
+RANK_TOL = 1e-9        # relative singular-value cutoff of the rank checks
 DEFAULT_N_CONSTANT = 8  # sample-count constant: n = ceil(8 ln(T r / delta) / eps^2)
 ROUND_SLACK = 5
 
@@ -209,7 +211,7 @@ def process_counterexample(state: LearnerState, operators: list[list[np.ndarray]
     if b_new in state.histories[tau]:
         raise LearnerInvariantError("counterexample history already represented")
 
-    before_rank = _num_rank(state.test_matrix(oracle, tau))
+    before_rank = numerical_rank(state.test_matrix(oracle, tau), RANK_TOL)
     state.trace.append({
         "round": state.rounds,
         "tau": tau,
@@ -225,16 +227,9 @@ def process_counterexample(state: LearnerState, operators: list[list[np.ndarray]
         raise LearnerInvariantError(
             f"level-{tau} matrix became numerically singular after growth"
         )
-    if _num_rank(mat) != before_rank + 1:
+    if numerical_rank(mat, RANK_TOL) != before_rank + 1:
         raise LearnerInvariantError("rank did not increase by exactly one")
     return tau, lam_new, b_new
-
-
-def _num_rank(mat: np.ndarray, tol: float = 1e-9) -> int:
-    s = np.linalg.svd(mat, compute_uv=False)
-    if s.size == 0 or s[0] <= 0.0:
-        return 0
-    return int(np.sum(s > tol * s[0]))
 
 
 def default_sample_count(horizon: int, rank_bound: int, eps: float,

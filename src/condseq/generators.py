@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .distributions import ENUM_CAP, Hmm, TableDist, _future_probs, cond_matrix
-from .sequences import Seq, all_seqs, seq_count
+from .distributions import ENUM_CAP, Hmm, TableDist, future_table, numerical_rank
+from .sequences import Seq, all_seqs, seq_count, seq_to_index
 
 
 def make_parity_hmm(horizon: int, subset: set[int] | None = None,
@@ -135,17 +135,17 @@ def perturb_conditionals(dist, eta: float, seed: int) -> TableDist:
     def walk(history: Seq, mass: float) -> None:
         if mass <= 0.0:
             block = O ** (T - len(history))
-            start = _flat_index(history, O) * block
+            start = seq_to_index(history, O) * block
             probs[start : start + block] = 0.0
             return
-        base = _future_probs(dist, history, 1)
+        base = dist.next_symbol_probs(history)
         jitter = np.exp(eta * rng.standard_normal(O))
         cond = base * jitter
         total = cond.sum()
         cond = cond / total if total > 0 else np.full(O, 1.0 / O)
         if len(history) == T - 1:
             for o in range(O):
-                idx = _flat_index(history + (o + 1,), O)
+                idx = seq_to_index(history + (o + 1,), O)
                 probs[idx] = mass * cond[o]
         else:
             for o in range(O):
@@ -153,13 +153,6 @@ def perturb_conditionals(dist, eta: float, seed: int) -> TableDist:
 
     walk((), 1.0)
     return TableDist(probs=probs, n_symbols=O, horizon=T)
-
-
-def _flat_index(seq: Seq, n_symbols: int) -> int:
-    idx = 0
-    for o in seq:
-        idx = idx * n_symbols + (o - 1)
-    return idx
 
 
 # ---------------------------------------------------------------------------
@@ -218,19 +211,16 @@ def greedy_spanning_bases(dist, tol: float = 1e-9) -> list[list[Seq]]:
     O, T = dist.n_symbols, dist.horizon
     bases: list[list[Seq]] = [[()]]
     for t in range(1, T):
-        mat = cond_matrix(dist, t, future_scheme="exact")
-        full_rank = _numerical_rank(mat, tol)
+        joint, table = future_table(dist, T - t, t=t)
+        full_rank = numerical_rank(table[joint > 0.0], tol)
         members: list[Seq] = []
-        cols: list[np.ndarray] = []
-        for h in all_seqs(O, t):
-            if dist.joint_prob(h) <= 0.0:
-                continue
-            candidate = cols + [_future_probs(dist, h, T - t)]
-            if _numerical_rank(np.column_stack(candidate), tol) > len(cols):
-                members.append(h)
-                cols = candidate
-            if len(cols) == full_rank:
+        rows: list[np.ndarray] = []
+        for h, p, row in zip(all_seqs(O, t), joint, table):
+            if len(rows) == full_rank:
                 break
+            if p > 0.0 and numerical_rank(np.vstack(rows + [row]), tol) > len(rows):
+                members.append(h)
+                rows.append(row)
         bases.append(members)
     for seq in all_seqs(O, T):
         if dist.joint_prob(seq) > 0.0:
@@ -239,12 +229,3 @@ def greedy_spanning_bases(dist, tol: float = 1e-9) -> list[list[Seq]]:
     else:
         raise ValueError("distribution has no positive-probability sequence")
     return bases
-
-
-def _numerical_rank(mat: np.ndarray, tol: float) -> int:
-    if mat.size == 0:
-        return 0
-    s = np.linalg.svd(mat, compute_uv=False)
-    if s.size == 0 or s[0] <= 0.0:
-        return 0
-    return int(np.sum(s > tol * s[0]))

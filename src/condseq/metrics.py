@@ -12,9 +12,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .distributions import ENUM_CAP, TableDist, _future_probs, enumerate_joint
+from .distributions import ENUM_CAP, enumerate_joint, future_table
 from .oom import OomModel, eval_prob
-from .sequences import Seq, all_seqs, seq_count
+from .sequences import Seq, all_seqs, seq_count, seq_to_index
 
 EIG_REL_CUTOFF = 1e-10
 
@@ -44,13 +44,11 @@ def conditional_gap_exact(p, q) -> float:
     O, T = p.n_symbols, p.horizon
     worst = 0.0
     for t in range(T):
+        joint, cond = future_table(p, 1, t=t)
         gaps = np.zeros(O)
-        for h in all_seqs(O, t):
-            w = p.joint_prob(h)
-            if w <= 0.0:
-                continue
-            gaps += w * np.abs(np.asarray(q.next_symbol_probs(h))
-                               - _future_probs(p, h, 1))
+        for h, w, p_next in zip(all_seqs(O, t), joint, cond):
+            if w > 0.0:
+                gaps += w * np.abs(np.asarray(q.next_symbol_probs(h)) - p_next)
         worst = max(worst, float(gaps.max()))
     return worst
 
@@ -73,10 +71,10 @@ def tv_conditional_bound(p, q, n_samples: int = 0,
         totals = np.zeros((T, O))
         for _ in range(n_samples):
             x = p.sample_conditional((), rng)
-            for t in range(T):
-                h = x[:t]
-                totals[t] += np.abs(np.asarray(q.next_symbol_probs(h))
-                                    - _future_probs(p, h, 1))
+            prefixes = [x[:t] for t in range(T)]
+            _, p_next = future_table(p, 1, histories=prefixes)
+            q_next = np.array([q.next_symbol_probs(h) for h in prefixes])
+            totals += np.abs(q_next - p_next)
         eps = float((totals / n_samples).max())
     return (T + 1) * O * eps / 2.0
 
@@ -102,7 +100,10 @@ class FidelityReport:
     """Per-level spectra of the history-weighted preconditioned matrices."""
 
     sigmas: list[float]            # σ₊ per level 0..T
-    spectra: list[np.ndarray]      # eigenvalues, descending, per level
+    # Eigenvalues of Zᵀ Z, descending, per level: min(#kept futures,
+    # #histories) of them, the squared singular values of Z.  The remaining
+    # eigenvalues of the history-by-history Gram are exactly zero.
+    spectra: list[np.ndarray]
     basis_sizes: list[int]
 
     @property
@@ -125,27 +126,40 @@ def fidelity_for_bases(dist, bases: list[list[Seq]]) -> FidelityReport:
     probability history, ``S`` weights histories by their joint probability,
     and ``D`` holds the candidate basis's summed future conditionals
     ``d(f) = Σ_{b ∈ B_t} Pr[f | b]`` (futures with ``d(f) = 0`` are skipped).
-    σ₊ per level is the smallest eigenvalue above a relative cutoff.
+    The spectrum is taken from the singular values of ``Z = D^{-1/2} P
+    S^{1/2}``, so the history-by-history Gram ``Zᵀ Z`` is never formed.  σ₊
+    per level is the smallest eigenvalue above a relative cutoff.
     """
-    O, T = dist.n_symbols, dist.horizon
+    T = dist.horizon
     if len(bases) != T + 1:
         raise ValueError("need one basis per level 0..T")
-    sigmas, spectra, sizes = [], [], []
-    for t in range(T + 1):
-        members = bases[t]
-        hists = [h for h in all_seqs(O, t) if dist.joint_prob(h) > 0.0]
-        s = np.array([dist.joint_prob(h) for h in hists])
-        P = np.column_stack([_future_probs(dist, h, T - t) for h in hists])
-        d = np.zeros(P.shape[0])
-        for b in members:
-            d += _future_probs(dist, b, T - t)
-        keep = d > 0.0
-        Z = (P[keep] / np.sqrt(d[keep])[:, None]) * np.sqrt(s)[None, :]
-        eigs = np.linalg.eigvalsh(Z.T @ Z)
+    sigmas, spectra = [], []
+    for t, members in enumerate(bases):
+        eigs = _Level(dist, t).spectrum(members)
         sigmas.append(_positive_floor(eigs))
-        spectra.append(np.sort(eigs)[::-1])
-        sizes.append(len(members))
-    return FidelityReport(sigmas=sigmas, spectra=spectra, basis_sizes=sizes)
+        spectra.append(eigs)
+    return FidelityReport(sigmas=sigmas, spectra=spectra,
+                          basis_sizes=[len(members) for members in bases])
+
+
+class _Level:
+    """One level's future table, built once to score any basis against."""
+
+    def __init__(self, dist, t: int) -> None:
+        self.n_symbols = dist.n_symbols
+        joint, self.table = future_table(dist, dist.horizon - t, t=t)
+        positive = joint > 0.0
+        # Zᵀ before its columns are divided by sqrt(d)
+        self.weighted = self.table[positive] * np.sqrt(joint[positive])[:, None]
+        self.histories = [h for h, keep in zip(all_seqs(dist.n_symbols, t),
+                                               positive) if keep]
+
+    def spectrum(self, members: list[Seq]) -> np.ndarray:
+        """Eigenvalues of ``Zᵀ Z``, descending, for the basis ``members``."""
+        d = self.table[[seq_to_index(b, self.n_symbols) for b in members]].sum(axis=0)
+        keep = d > 0.0
+        z = self.weighted[:, keep] / np.sqrt(d[keep])
+        return np.linalg.svd(z, compute_uv=False) ** 2
 
 
 def sigma_matrix(dist, members: list[Seq]) -> np.ndarray:
@@ -160,12 +174,11 @@ def sigma_matrix(dist, members: list[Seq]) -> np.ndarray:
     t = len(members[0])
     if any(len(b) != t for b in members):
         raise ValueError("basis members must share a length")
-    length = dist.horizon - t
-    P = np.column_stack([_future_probs(dist, b, length) for b in members])
-    d_bar = P.mean(axis=1)
+    _, P = future_table(dist, dist.horizon - t, histories=members)
+    d_bar = P.mean(axis=0)
     keep = d_bar > 0.0
-    Y = P[keep] / np.sqrt(d_bar[keep])[:, None]
-    return Y.T @ Y
+    Y = P[:, keep] / np.sqrt(d_bar[keep])
+    return Y @ Y.T
 
 
 def robust_sigma(dist, bases: list[list[Seq]]) -> float:
@@ -193,29 +206,17 @@ def search_fidelity_bases(dist, max_size: int = 3
         raise ValueError("exhaustive basis search is for very small instances")
     best_bases: list[list[Seq]] = []
     for t in range(T + 1):
-        hists = [h for h in all_seqs(O, t) if dist.joint_prob(h) > 0.0]
+        level = _Level(dist, t)
+        hists = level.histories
         best: tuple[float, list[Seq]] = (-1.0, [hists[0]])
         for size in range(1, min(max_size, len(hists)) + 1):
             for combo in combinations(hists, size):
-                sigma = _level_sigma(dist, list(combo), t)
+                sigma = _positive_floor(level.spectrum(list(combo)))
                 if sigma > best[0] + 1e-12:
                     best = (sigma, list(combo))
         best_bases.append(best[1])
     report = fidelity_for_bases(dist, best_bases)
     return best_bases, report
-
-
-def _level_sigma(dist, members: list[Seq], t: int) -> float:
-    O, T = dist.n_symbols, dist.horizon
-    hists = [h for h in all_seqs(O, t) if dist.joint_prob(h) > 0.0]
-    s = np.array([dist.joint_prob(h) for h in hists])
-    P = np.column_stack([_future_probs(dist, h, T - t) for h in hists])
-    d = np.zeros(P.shape[0])
-    for b in members:
-        d += _future_probs(dist, b, T - t)
-    keep = d > 0.0
-    Z = (P[keep] / np.sqrt(d[keep])[:, None]) * np.sqrt(s)[None, :]
-    return _positive_floor(np.linalg.eigvalsh(Z.T @ Z))
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +237,7 @@ def irregular_mass(dist, history: Seq, alpha: float) -> float:
     def walk(h: Seq, mass: float) -> float:
         if len(h) == T or mass <= 0.0:
             return 0.0
-        step = _future_probs(dist, h, 1)
+        step = dist.next_symbol_probs(h)
         out = 0.0
         for o, p in enumerate(step, start=1):
             if p <= alpha:
@@ -257,7 +258,7 @@ def sequence_two_step_matrix(dist) -> np.ndarray:
     for j in range(1, O + 1):
         p_j = dist.joint_prob((j,))
         if p_j > 0.0:
-            mat[:, j - 1] = p_j * _future_probs(dist, (j,), 1)
+            mat[:, j - 1] = p_j * dist.next_symbol_probs((j,))
         else:
             mat[:, j - 1] = 0.0
     return mat
@@ -277,17 +278,12 @@ def expected_span_residual(dist, members: list[Seq]) -> float:
     if any(len(b) != t for b in members):
         raise ValueError("members must share one length")
     O, T = dist.n_symbols, dist.horizon
-    if seq_count(O, max(t, T - t)) > ENUM_CAP:
+    if seq_count(O, T) > ENUM_CAP:
         raise ValueError("horizon too large to enumerate")
-    basis_cols = np.column_stack(
-        [_future_probs(dist, tuple(b), T - t) for b in members]
-    )
-    total = 0.0
-    for x in all_seqs(O, t):
-        mass = dist.joint_prob(x)
-        if mass <= 0.0:
-            continue
-        target = _future_probs(dist, x, T - t)
-        beta, *_ = np.linalg.lstsq(basis_cols, target, rcond=None)
-        total += mass * float(np.abs(target - basis_cols @ beta).sum())
-    return total
+    joint, table = future_table(dist, T - t, t=t)
+    positive = joint > 0.0
+    basis_cols = table[[seq_to_index(b, O) for b in members]].T
+    targets = table[positive].T
+    beta, *_ = np.linalg.lstsq(basis_cols, targets, rcond=None)
+    resid = np.abs(targets - basis_cols @ beta).sum(axis=0)
+    return float(joint[positive] @ resid)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import _future_probs
+from .distributions import _fmt, _TextLines, future_table
 from .sequences import Seq, format_seq, parse_seq
 
 RESIDUAL_TOL = 1e-9
@@ -127,11 +127,9 @@ def exact_coefficients(dist, members: list[Seq], history: Seq) -> np.ndarray:
     the least-squares sense; with a spanning basis the residual is zero and
     ``β`` sums to 1.
     """
-    t = len(history)
-    length = dist.horizon - t
-    cols = np.column_stack([_future_probs(dist, b, length) for b in members])
-    target = _future_probs(dist, history, length)
-    beta, *_ = np.linalg.lstsq(cols, target, rcond=PINV_CUTOFF)
+    length = dist.horizon - len(history)
+    _, table = future_table(dist, length, histories=[*members, history])
+    beta, *_ = np.linalg.lstsq(table[:-1].T, table[-1], rcond=PINV_CUTOFF)
     return beta
 
 
@@ -153,19 +151,13 @@ def construct_exact_operators(dist, bases: list[list[Seq]],
     operators: list[list[np.ndarray]] = []
     step_matrices: list[np.ndarray] = []
     for t in range(T):
-        members_next = bases[t + 1]
-        p_next = np.column_stack(
-            [_future_probs(dist, b, T - t - 1) for b in members_next]
-        )
-        futures_from = [
-            _future_probs(dist, b, T - t).reshape(O, -1) for b in bases[t]
-        ]
-        step_matrices.append(
-            np.column_stack([blocks.sum(axis=1) for blocks in futures_from])
-        )
+        p_next = future_table(dist, T - t - 1, histories=bases[t + 1])[1].T
+        blocks = future_table(dist, T - t, histories=bases[t])[1].reshape(
+            len(bases[t]), O, -1)
+        step_matrices.append(blocks.sum(axis=2).T)
         per_symbol: list[np.ndarray] = []
         for o in range(1, O + 1):
-            rhs = np.column_stack([blocks[o - 1] for blocks in futures_from])
+            rhs = blocks[:, o - 1, :].T
             sol, *_ = np.linalg.lstsq(p_next, rhs, rcond=PINV_CUTOFF)
             residual = np.max(np.abs(p_next @ sol - rhs)) if rhs.size else 0.0
             if residual > residual_tol:
@@ -320,10 +312,6 @@ def to_distribution(model: OomModel, flavor: str = "auto"):
 _MODEL_HEADER = "condseq-oom v1"
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _matrix_lines(mat: np.ndarray) -> list[str]:
     return [" ".join(_fmt(v) for v in row) for row in np.atleast_2d(mat)]
 
@@ -355,71 +343,53 @@ def model_to_text(model: OomModel) -> str:
 
 
 def model_from_text(text: str) -> OomModel:
-    lines = [ln.rstrip() for ln in text.splitlines() if ln.strip()]
-    if lines[0] != _MODEL_HEADER:
-        raise ValueError("not a condseq model file")
-    O = int(lines[1].split()[1])
-    T = int(lines[2].split()[1])
-    sizes = [int(v) for v in lines[3].split()[1:]]
-    if len(sizes) != T + 1:
-        raise ValueError("sizes line must list one basis size per level")
-    i = 4
+    """Parse :func:`model_to_text` output; raises ``ValueError`` naming the line.
+
+    The ``steps`` and ``tests`` sections are optional, but each must be
+    complete when present.
+    """
+    lines = _TextLines(text)
+    lines.line("the condseq model header", _MODEL_HEADER)
+    O = lines.line("the O line", "O", 1, int)[0]
+    T = lines.line("the T line", "T", 1, int)[0]
+    sizes = lines.line("the sizes line", "sizes", T + 1, int)
     bases: list[list[Seq]] = []
     for t in range(T + 1):
-        if lines[i] != f"basis {t}":
-            raise ValueError(f"expected 'basis {t}' at line {i + 1}")
-        i += 1
-        members = [parse_seq(lines[i + j]) for j in range(sizes[t])]
-        i += sizes[t]
-        bases.append(members)
+        lines.line(f"'basis {t}'", f"basis {t}")
+        bases.append([lines.line(f"basis {t} member", count=1, kind=parse_seq)[0]
+                      for _ in range(sizes[t])])
 
-    def read_matrix(rows: int) -> np.ndarray:
-        nonlocal i
-        mat = np.array([[float(v) for v in lines[i + r].split()] for r in range(rows)])
-        i += rows
-        return mat
+    def section(kind: str, label: str, rows: int | None, cols: int) -> int:
+        """Check a section header ``kind label rows cols``; returns ``rows``."""
+        return lines.line(f"the '{kind} {label}' header", f"{kind} {label}", 2,
+                          int, expected=[rows, cols])[0]
 
-    operators: list[list[np.ndarray]] = [[None] * O for _ in range(T)]  # type: ignore
-    step_matrices: dict[int, np.ndarray] = {}
-    test_seqs: dict[int, list[Seq]] = {}
-    test_matrices: dict[int, np.ndarray] = {}
-    while i < len(lines):
-        parts = lines[i].split()
-        kind = parts[0]
-        i += 1
-        if kind == "operator":
-            t, o, rows = int(parts[1]), int(parts[2]), int(parts[3])
-            operators[t][o - 1] = read_matrix(rows)
-        elif kind == "steps":
-            t, rows = int(parts[1]), int(parts[2])
-            step_matrices[t] = read_matrix(rows)
-        elif kind == "tests":
-            t, rows = int(parts[1]), int(parts[2])
-            seqs = [parse_seq(lines[i + j]) for j in range(rows)]
-            i += rows
-            test_seqs[t] = seqs
-            test_matrices[t] = read_matrix(rows)
-        else:
-            raise ValueError(f"unknown section {kind!r}")
-
+    operators = []
     for t in range(T):
-        for o in range(O):
-            if operators[t][o] is None:
-                raise ValueError(f"missing operator ({o + 1}, {t})")
-    return OomModel(
-        n_symbols=O,
-        horizon=T,
-        bases=bases,
-        operators=operators,
-        test_seqs=[test_seqs[t] for t in range(T + 1)] if len(test_seqs) == T + 1 else None,
-        test_matrices=(
-            [test_matrices[t] for t in range(T + 1)]
-            if len(test_matrices) == T + 1 else None
-        ),
-        step_matrices=(
-            [step_matrices[t] for t in range(T)] if len(step_matrices) == T else None
-        ),
-    )
+        per_symbol = []
+        for o in range(1, O + 1):
+            rows = section("operator", f"{t} {o}", sizes[t + 1], sizes[t])
+            per_symbol.append(lines.matrix(f"operator ({o}, {t})", rows, sizes[t]))
+        operators.append(per_symbol)
+
+    step_matrices = None
+    if lines.peek() == "steps":
+        step_matrices = []
+        for t in range(T):
+            rows = section("steps", str(t), O, sizes[t])
+            step_matrices.append(lines.matrix(f"steps {t}", rows, sizes[t]))
+    test_seqs = test_matrices = None
+    if lines.peek() == "tests":
+        test_seqs, test_matrices = [], []
+        for t in range(T + 1):
+            rows = section("tests", str(t), None, sizes[t])
+            test_seqs.append([lines.line(f"tests {t} future", count=1,
+                                         kind=parse_seq)[0] for _ in range(rows)])
+            test_matrices.append(lines.matrix(f"tests {t}", rows, sizes[t]))
+    lines.finish()
+    return OomModel(n_symbols=O, horizon=T, bases=bases, operators=operators,
+                    test_seqs=test_seqs, test_matrices=test_matrices,
+                    step_matrices=step_matrices)
 
 
 def save_model(model: OomModel, path) -> None:

@@ -35,12 +35,8 @@ class AlgoParams:
     eig_threshold: float = 0.05  # eigenvalues above half this are kept
     ridge: float = 1e-4          # coefficient-recovery regularizer
     regularity: float = 0.05     # per-step floor behind the screening test
-    rel_accuracy: float = 0.1    # target relative error of estimates
     coeff_norm: float = 1.0      # assumed bound on basis-coefficient norms
-    eps: float = 0.1             # overall accuracy target (reporting only)
-    fail_prob: float = 0.1       # overall failure budget (reporting only)
     step_samples: int = 10_000   # draws per cached next-symbol histogram
-    seed: int = 0                # oracle stream seed (used by drivers)
 
     def __post_init__(self) -> None:
         for name in ("basis_size", "entry_samples", "step_samples"):
@@ -48,9 +44,7 @@ class AlgoParams:
                 raise ValueError(f"{name} must be positive")
         if not 0.0 < self.eig_threshold <= 1.0:
             raise ValueError("eig_threshold must lie in (0, 1]")
-        if not 0.0 < self.rel_accuracy < 0.5:
-            raise ValueError("rel_accuracy must lie in (0, 1/2)")
-        for name in ("ridge", "regularity", "coeff_norm", "eps", "fail_prob"):
+        for name in ("ridge", "regularity", "coeff_norm"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
 

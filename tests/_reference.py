@@ -79,3 +79,24 @@ def full_table_draws(table: TableDist, history, rng: np.random.Generator,
     block = table._prefix_slice(history).reshape(-1)
     idx = rng.choice(block.size, size=size, p=block / block.sum())
     return [index_to_seq(int(i), table.n_symbols, length) for i in idx]
+
+
+def gram_spectrum(dist, members, t: int) -> np.ndarray:
+    """Eigenvalues of ``Zᵀ Z`` for one level, descending, from the definition.
+
+    ``Z[f, h] = sqrt(Pr[h] / d(f)) Pr[f | h]`` over positive-probability
+    length-``t`` histories ``h`` and futures ``f`` with ``d(f) = Σ_b Pr[f | b]
+    > 0``; every entry is one ``joint_prob`` / ``conditional_prob`` call, and
+    the spectrum comes from the full history-by-history Gram.
+    """
+    n_symbols, length = dist.n_symbols, dist.horizon - t
+    hists = [h for h in itertools.product(range(1, n_symbols + 1), repeat=t)
+             if dist.joint_prob(h) > 0.0]
+    futures = list(itertools.product(range(1, n_symbols + 1), repeat=length))
+    d = np.array([sum(dist.conditional_prob(b, f) for b in members)
+                  for f in futures])
+    kept = [f for f, mass in zip(futures, d) if mass > 0.0]
+    z = np.array([[np.sqrt(dist.joint_prob(h) / mass) * dist.conditional_prob(h, f)
+                   for h in hists] for f, mass in zip(kept, d[d > 0.0])])
+    z = z.reshape(len(kept), len(hists))
+    return np.sort(np.linalg.eigvalsh(z.T @ z))[::-1]

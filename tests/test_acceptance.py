@@ -5,7 +5,7 @@ import numpy as np
 from condseq.approx_basis import (elliptical_potential,
                                   elliptical_potential_bound,
                                   find_approx_basis)
-from condseq.distributions import conditional_prob, enumerate_joint, joint_prob
+from condseq.distributions import enumerate_joint
 from condseq.exact_learner import learn_exact
 from condseq.generators import (make_full_rank_hmm, make_parity_hmm,
                                 make_random_table, one_step_bases,
@@ -121,11 +121,11 @@ def test_criterion_03_counterexample_rank_progress():
         for entry in info["trace"]:
             histories = [tuple(h) for h in entry["histories_before"]]
             tests = [tuple(f) for f in entry["tests_before"]]
-            before = np.array([[conditional_prob(dist, b, f) for b in histories]
+            before = np.array([[dist.conditional_prob(b, f) for b in histories]
                                for f in tests])
             histories.append(tuple(entry["new_history"]))
             tests.append(tuple(entry["new_test"]))
-            after = np.array([[conditional_prob(dist, b, f) for b in histories]
+            after = np.array([[dist.conditional_prob(b, f) for b in histories]
                               for f in tests])
             if np.linalg.matrix_rank(after) != np.linalg.matrix_rank(before) + 1:
                 ok = False
@@ -186,7 +186,7 @@ def test_criterion_07_sampling_learner_accuracy():
     tvs, queries = [], 0
     for seed in range(10):
         oracle = OracleHandle(dist, mode="sampling", seed=seed)
-        model, _ = learn_sampling(oracle, AlgoParams(seed=seed))
+        model, _ = learn_sampling(oracle, AlgoParams())
         tvs.append(tv_exact(dist, to_distribution(model, flavor="raw")))
         queries += oracle.stats.total
     elapsed = time.perf_counter() - started
@@ -233,7 +233,7 @@ def test_criterion_08_operator_error_decomposition():
             beta = np.column_stack([
                 exact_coefficients(dist, bases[t + 1], b + (o,))
                 for b in bases[t]])
-            step = np.array([conditional_prob(dist, b, (o,))
+            step = np.array([dist.conditional_prob(b, (o,))
                              for b in bases[t]])
             coeff_noise = a2 * np.outer(out_dir, np.eye(len(bases[t]))[0])
             assert abs(np.linalg.norm(proj_out @ coeff_noise, 2) - a2) < 1e-12
@@ -342,7 +342,7 @@ def test_criterion_12_irregular_future_mass_bound():
             cap = n_symbols * horizon * alpha
             for t in range(horizon):
                 for history in all_seqs(n_symbols, t):
-                    if joint_prob(dist, history) == 0.0:
+                    if dist.joint_prob(history) == 0.0:
                         continue
                     gap = irregular_mass(dist, history, alpha) - cap
                     worst = max(worst, gap)

@@ -264,3 +264,25 @@ def test_cli_fidelity_prints_levels(parity_file, capsys):
     assert "level 0: size 1" in out
     assert "min fidelity 0.18" in out
     assert "min robust" in out
+
+
+def test_params_an_algorithm_does_not_take_are_rejected(parity_file, tmp_path):
+    instance = {"kind": "file", "path": parity_file}
+    # knobs that were validated and echoed but never read
+    for key in ("rel_accuracy", "eps", "fail_prob", "seed"):
+        with pytest.raises(ValueError, match="unknown config keys"):
+            run_experiment(ExperimentConfig(instance=instance,
+                                            algorithm="sampling",
+                                            params={key: 0.1}))
+    with pytest.raises(ValueError, match="unknown config keys"):
+        run_experiment(_exact_config(parity_file,
+                                     params={"n_override": 200, "ridge": 1.0}))
+    cfg = tmp_path / "basis.yaml"
+    cfg.write_text(yaml.safe_dump({"instance": instance,
+                                   "algorithm": "approx-basis",
+                                   "params": {"t": 2, "fail_prob": 0.1}}))
+    with pytest.raises(ValueError, match="unknown config keys"):
+        main(["find-basis", "--config", str(cfg)])
+    with pytest.raises(SystemExit):
+        main(["learn-sampling", "--instance", parity_file,
+              "--rel-accuracy", "0.1"])

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from condseq.distributions import (
@@ -12,9 +12,9 @@ from condseq.distributions import (
     ZeroProbabilityHistory,
     cond_matrix,
     enumerate_joint,
+    future_table,
     hmm_from_text,
     hmm_to_text,
-    joint_prob,
     load_hmm,
     rank_of,
     save_hmm,
@@ -229,13 +229,6 @@ def test_sample_conditional_is_the_tuple_edge(dist, full_draws):
         dist.sample_futures((1,), new_rng, 5, steps=-1)
 
 
-def test_generic_wrappers_dispatch():
-    assert joint_prob(HAND_TABLE, (2, 1)) == pytest.approx(0.3)
-    rng = np.random.default_rng(1)
-    hmm = random_hmm(rng, 2, 2, 2)
-    assert joint_prob(hmm, (1,)) == pytest.approx(hmm.joint_prob((1,)))
-
-
 @given(st.integers(0, 10_000))
 def test_table_chain_rule_property(seed):
     rng = np.random.default_rng(seed)
@@ -246,3 +239,90 @@ def test_table_chain_rule_property(seed):
     for i, o in enumerate(seq):
         prod *= d.next_symbol_probs(seq[:i])[o - 1]
     assert prod == pytest.approx(d.joint_prob(seq), abs=1e-12)
+
+
+def _path_sum(hmm, seq) -> float:
+    return brute_force_joint(hmm, seq) if seq else 1.0
+
+
+@given(st.integers(0, 10_000))
+def test_future_table_matches_state_path_enumeration(seed):
+    rng = np.random.default_rng(seed)
+    n_states, n_symbols = int(rng.integers(1, 4)), int(rng.integers(2, 4))
+    horizon = int(rng.integers(1, 5))
+    hmm = random_hmm(rng, n_states, n_symbols, horizon)
+    for t in range(horizon + 1):
+        hists = list(all_seqs(n_symbols, t))
+        for length in range(horizon - t + 1):
+            joint, table = future_table(hmm, length, t=t)
+            _, listed = future_table(hmm, length, histories=hists[::-1])
+            assert table.shape == (len(hists), n_symbols**length)
+            for i, h in enumerate(hists):
+                p_h = _path_sum(hmm, h)
+                assert joint[i] == pytest.approx(p_h, abs=1e-12)
+                want = [_path_sum(hmm, h + f) / p_h
+                        for f in all_seqs(n_symbols, length)]
+                np.testing.assert_allclose(table[i], want, rtol=1e-9, atol=1e-12)
+                np.testing.assert_allclose(listed[-1 - i], want, rtol=1e-9,
+                                           atol=1e-12)
+
+
+def test_future_table_zero_probability_histories_reset_to_uniform():
+    hmm = _never_emits_two()
+    hists = list(all_seqs(2, 1))
+    for length in range(3):
+        joint, table = future_table(hmm, length, t=1)
+        _, listed = future_table(hmm, length, histories=hists)
+        assert joint.tolist() == [1.0, 0.0]
+        for i, h in enumerate(hists):
+            want = [hmm.conditional_prob(h, f) for f in all_seqs(2, length)]
+            np.testing.assert_allclose(table[i], want, atol=1e-15)
+            np.testing.assert_allclose(listed[i], want, atol=1e-15)
+    # the reset row after (2,) is not all zero: it conditions from uniform
+    assert future_table(hmm, 1, t=1)[1][1].tolist() == [1.0, 0.0]
+
+
+def test_future_table_rows_from_a_list_do_not_depend_on_the_list():
+    rng = np.random.default_rng(9)
+    hmm = random_hmm(rng, 3, 3, 5)
+    x = (2, 1, 3, 3)
+    prefixes = [x[:t] for t in range(5)]
+    _, together = future_table(hmm, 1, histories=prefixes)
+    for h, row in zip(prefixes, together):
+        _, alone = future_table(hmm, 1, histories=[h])
+        assert row.tolist() == alone[0].tolist()
+        np.testing.assert_allclose(row, hmm.next_symbol_probs(h), atol=1e-15)
+
+
+def test_future_table_tables_and_validation():
+    joint, table = future_table(HAND_TABLE, 1, t=1)
+    np.testing.assert_allclose(joint, [0.3, 0.7])
+    np.testing.assert_allclose(table, [[1 / 3, 2 / 3], [3 / 7, 4 / 7]])
+    zero = TableDist(np.array([0.0, 0.0, 0.6, 0.4]), n_symbols=2, horizon=2)
+    np.testing.assert_allclose(future_table(zero, 1, t=1)[1], [[0, 0], [0.6, 0.4]])
+    with pytest.raises(ZeroProbabilityHistory):
+        future_table(zero, 1, histories=[(1,)])
+    with pytest.raises(ValueError):
+        future_table(HAND_TABLE, 1)
+    with pytest.raises(ValueError):
+        future_table(HAND_TABLE, 1, histories=[()], t=0)
+    with pytest.raises(ValueError):
+        future_table(HAND_TABLE, 2, t=1)
+    with pytest.raises(ValueError):
+        future_table(HAND_TABLE, 2, histories=[(1,)])
+
+
+@settings(max_examples=10)
+@given(st.integers(0, 10_000))
+def test_hmm_text_prefixes_fail_with_the_line(seed):
+    rng = np.random.default_rng(seed)
+    hmm = random_hmm(rng, int(rng.integers(1, 4)), int(rng.integers(2, 4)),
+                     int(rng.integers(1, 6)))
+    lines = hmm_to_text(hmm).splitlines(keepends=True)
+    for k in range(len(lines)):
+        with pytest.raises(ValueError, match=r"^line \d+: "):
+            hmm_from_text("".join(lines[:k]))
+    clone = hmm_from_text("".join(lines))
+    np.testing.assert_array_equal(clone.mu, hmm.mu)
+    np.testing.assert_array_equal(clone.emission, hmm.emission)
+    np.testing.assert_array_equal(clone.transition, hmm.transition)

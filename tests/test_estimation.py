@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from condseq.distributions import TableDist
-from condseq.estimation import CondEstimator, schedule_samples_per_step
+from condseq.estimation import CondEstimator
 from condseq.generators import make_parity_hmm
 from condseq.oracles import OracleHandle
 
@@ -12,16 +12,6 @@ TABLE = TableDist(np.array([0.1, 0.2, 0.3, 0.4]), n_symbols=2, horizon=2)
 def _estimator(dist, samples, seed=0):
     oracle = OracleHandle(dist, mode="sampling", seed=seed)
     return CondEstimator(oracle, samples_per_history=samples), oracle
-
-
-def test_schedule_grows_with_horizon_and_validates():
-    base = schedule_samples_per_step(4, 0.1, 0.05, 0.1)
-    assert schedule_samples_per_step(8, 0.1, 0.05, 0.1) > base
-    assert schedule_samples_per_step(4, 0.2, 0.05, 0.1) < base
-    with pytest.raises(ValueError):
-        schedule_samples_per_step(4, 0.6, 0.05, 0.1)
-    with pytest.raises(ValueError):
-        schedule_samples_per_step(4, 0.0, 0.05, 0.1)
 
 
 def test_histograms_are_cached_per_history():

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,8 +10,10 @@ from hypothesis import strategies as st
 
 from condseq.distributions import TableDist
 from condseq.generators import (
+    greedy_spanning_bases,
     make_parity_hmm,
     make_random_table,
+    one_step_bases,
     parity_class_bases,
 )
 from condseq.metrics import (
@@ -25,7 +32,7 @@ from condseq.metrics import (
 )
 from condseq.sequences import all_seqs
 
-from _reference import parity_reference_prob, random_hmm
+from _reference import gram_spectrum, parity_reference_prob, random_hmm
 
 HAND = TableDist(np.array([0.1, 0.2, 0.3, 0.4]), n_symbols=2, horizon=2)
 SHIFTED = TableDist(np.array([0.2, 0.1, 0.3, 0.4]), n_symbols=2, horizon=2)
@@ -215,3 +222,39 @@ def test_random_hmm_irregular_mass_union_bound_smoke():
         for t in range(4):
             for h in all_seqs(2, t):
                 assert irregular_mass(hmm, h, alpha) <= 2 * 4 * alpha + 1e-12
+
+
+@given(st.integers(0, 10_000))
+def test_fidelity_spectra_are_the_nonzero_gram_eigenvalues(seed):
+    rng = np.random.default_rng(seed)
+    n_symbols = int(rng.integers(2, 4))
+    hmm = random_hmm(rng, int(rng.integers(1, 4)), n_symbols,
+                     int(rng.integers(1, 5)))
+    for make_bases in (greedy_spanning_bases, one_step_bases):
+        bases = make_bases(hmm)
+        report = fidelity_for_bases(hmm, bases)
+        for t, (members, spec) in enumerate(zip(bases, report.spectra)):
+            gram = gram_spectrum(hmm, members, t)
+            # the Gram has one eigenvalue per history; beyond the rank of Z
+            # (at most min(#futures, #histories)) they are numerical zeros
+            assert spec.size <= gram.size
+            np.testing.assert_allclose(spec, gram[:spec.size], rtol=0, atol=1e-10)
+            np.testing.assert_allclose(gram[spec.size:], 0.0, atol=1e-10)
+            assert np.all(spec[:-1] >= spec[1:])
+
+
+def test_referee_modules_import_no_learner_code():
+    import condseq
+
+    code = ("import sys\n"
+            "import condseq.distributions, condseq.generators, condseq.metrics, "
+            "condseq.oom\n"
+            "print(' '.join(sorted(sys.modules)))")
+    src = str(Path(condseq.__file__).resolve().parents[1])
+    loaded = subprocess.run([sys.executable, "-c", code], check=True,
+                            capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src}).stdout.split()
+    assert "condseq.metrics" in loaded
+    learner = {"exact_learner", "sampling_learner", "estimation",
+               "approx_basis", "oracles"}
+    assert not {f"condseq.{m}" for m in learner} & set(loaded)

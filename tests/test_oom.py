@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from condseq.distributions import enumerate_joint
 from condseq.generators import (
@@ -164,3 +166,32 @@ def test_model_text_round_trip_without_optional_sections():
     for seq in all_seqs(2, 3):
         assert eval_prob(clone, seq) == pytest.approx(eval_prob(bare, seq),
                                                       abs=1e-12)
+
+
+@settings(max_examples=10)
+@given(st.integers(0, 10_000))
+def test_model_text_prefixes_fail_with_the_line_or_end_a_section(seed):
+    rng = np.random.default_rng(seed)
+    horizon = int(rng.integers(1, 5))
+    hmm = random_hmm(rng, int(rng.integers(1, 4)), 2, horizon)
+    bases = greedy_spanning_bases(hmm)
+    tests = [[(1,)] for _ in range(horizon)] + [[()]]
+    model = construct_exact_operators(hmm, bases, test_seqs=tests)
+    lines = model_to_text(model).splitlines(keepends=True)
+    # a prefix may stop only where a whole optional section would begin
+    boundaries = {k for k, ln in enumerate(lines)
+                  if ln.startswith(("steps 0 ", "tests 0 "))} | {len(lines)}
+    assert len(boundaries) == 3
+    for k in range(len(lines) + 1):
+        text = "".join(lines[:k])
+        if k not in boundaries:
+            with pytest.raises(ValueError, match=r"^line \d+: "):
+                model_from_text(text)
+            continue
+        clone = model_from_text(text)
+        assert clone.bases == model.bases
+        for got, want in zip(clone.operators, model.operators):
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b)
+        assert (clone.step_matrices is None) == (k == min(boundaries))
+        assert (clone.test_matrices is None) == (k < len(lines))
