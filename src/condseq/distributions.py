@@ -28,8 +28,21 @@ probability and the ``(N·O, S)`` next beliefs, with the uniform reset of
 :meth:`Hmm.step`.  On it sits :func:`future_table`, the ``(n, O**length)``
 table of ``Pr[f | h]``, built either for all length-``t`` histories (with
 their joint probabilities, by running the kernel forward from ``mu``) or for
-an explicit list of histories, each filtered once.  Tables and learned-model
-wrappers fill the same table entry by entry through ``conditional_prob``.
+an explicit list of histories.  Tables and learned-model wrappers fill the
+same table entry by entry through ``conditional_prob``.
+
+Single sequences go through one memoised prefix walk, ``Hmm._walk``, under
+``forward_filter``, ``joint_prob``, ``conditional_prob``,
+``next_symbol_probs`` and the listed-history path of :func:`future_table`.
+It keeps the belief after every prefix up to a fixed depth, and the whole
+path of the previous call, so queries that share long prefixes (an exact
+oracle asks ``Pr[x·λ]`` for many tests ``λ`` of one prefix ``x``) filter each
+shared prefix once.  The depth is the deepest whose full prefix tree fits in
+``_MEMO_BYTES``, counting each belief with its bookkeeping, so the memo stays
+bounded at any horizon.  Every belief is still one :meth:`Hmm.step` from its
+parent's, so results are bit-identical to filtering from the root.  An HMM's
+parameters are read-only copies, and its memoised beliefs read-only arrays:
+an in-place edit raises instead of leaving stale beliefs behind.
 """
 
 from __future__ import annotations
@@ -46,6 +59,12 @@ ENUM_CAP = 2**20
 
 _COL_ATOL = 1e-12  # stochasticity tolerance for HMM parameter columns
 _TABLE_ATOL = 1e-9  # total-mass tolerance for explicit tables
+
+# Byte budget of an HMM's prefix memo.  Each memoised prefix costs its belief
+# (8 bytes per state) plus about _NODE_BYTES of Python objects (tuple, array
+# header, dict slot, floats; measured on CPython 3.11).
+_MEMO_BYTES = 2**21
+_NODE_BYTES = 320
 
 
 class EnumerationCapError(RuntimeError):
@@ -99,11 +118,14 @@ class Hmm:
     emission: np.ndarray
     transition: np.ndarray
     horizon: int
+    _memo: dict = field(init=False, repr=False, compare=False)
+    _memo_depth: int = field(init=False, repr=False, compare=False)
+    _last: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.mu = np.asarray(self.mu, dtype=float)
-        self.emission = np.asarray(self.emission, dtype=float)
-        self.transition = np.asarray(self.transition, dtype=float)
+        self.mu = _read_only(self.mu)
+        self.emission = _read_only(self.emission)
+        self.transition = _read_only(self.transition)
         S = self.mu.shape[0]
         if self.mu.ndim != 1:
             raise ValueError("mu must be a vector")
@@ -123,6 +145,10 @@ class Hmm:
             colsums = arr.sum(axis=0)
             if np.max(np.abs(colsums - 1.0)) > _COL_ATOL:
                 raise ValueError(f"{name} columns must sum to 1")
+        root = (self.mu, 1.0, 0.0, 1.0)
+        self._memo = {0: root}
+        self._memo_depth = _memo_depth(S, self.n_symbols, self.horizon)
+        self._last = ((), [root])
 
     @property
     def n_states(self) -> int:
@@ -146,13 +172,52 @@ class Hmm:
             return np.full(self.n_states, 1.0 / self.n_states), 0.0
         return self.transition @ (w / p), p
 
+    def _walk(self, seq: Seq) -> list[tuple]:
+        """``(belief, p, log_prob, prob)`` after each prefix of ``seq``, root first.
+
+        ``p`` is the probability of the prefix's last symbol given the rest,
+        ``prob`` the product of the ``p`` from the root and ``log_prob`` the
+        sum of their logs (``-inf`` from a zero ``p`` on).  A prefix shared
+        with the previous call's sequence is read off that call's path; one
+        no deeper than ``_memo_depth`` off the memo, keyed ``key·O + o`` from
+        the root's 0; any other takes one :meth:`step` from its parent.
+        """
+        seq = tuple(seq)
+        last, path = self._last
+        k, n = 0, min(len(seq), len(last))
+        while k < n and seq[k] == last[k]:
+            k += 1
+        path = path[:k + 1]
+        O, depth = self.n_symbols, self._memo_depth
+        key = 0
+        for o in seq[:min(k, depth)]:
+            key = key * O + o
+        for j in range(k, len(seq)):
+            o = seq[j]
+            if not 0 < o <= O:  # would alias another prefix's memo key
+                raise ValueError(f"symbol {o} outside 1..{O}")
+            node = None
+            if j < depth:
+                key = key * O + o
+                node = self._memo.get(key)
+            if node is None:
+                belief, _, log_prob, prob = path[-1]
+                belief, p = self.step(belief, o)
+                belief.flags.writeable = False
+                node = (belief, p, log_prob + math.log(p) if p > 0.0 else -math.inf,
+                        prob * p)
+                if j < depth:
+                    self._memo[key] = node
+            path.append(node)
+        self._last = (seq, path)
+        return path
+
     def forward_filter(self, history: Seq) -> BeliefState:
-        """Filter a history, returning the belief state and its log probability."""
-        belief = self.mu.copy()
-        log_prob = 0.0
-        for o in history:
-            belief, p = self.step(belief, o)
-            log_prob = log_prob + math.log(p) if p > 0.0 else -math.inf
+        """Filter a history, returning the belief state and its log probability.
+
+        The belief is a read-only array shared with the prefix memo.
+        """
+        belief, _, log_prob, _ = self._walk(history)[-1]
         return BeliefState(belief, log_prob)
 
     # -- probabilities -----------------------------------------------------
@@ -161,28 +226,25 @@ class Hmm:
         """Probability of a prefix ``seq`` (any length up to the horizon)."""
         if len(seq) > self.horizon:
             raise ValueError("sequence longer than horizon")
-        return math.exp(self.forward_filter(seq).log_prob)
+        return math.exp(self._walk(seq)[-1][2])
 
     def conditional_prob(self, history: Seq, future: Seq) -> float:
         """``Pr[future | history]`` for a future starting right after ``history``."""
         if len(history) + len(future) > self.horizon:
             raise ValueError("history plus future exceed horizon")
-        belief = self.forward_filter(history).probs
+        path = self._walk(tuple(history) + tuple(future))
         prob = 1.0
-        for o in future:
-            belief_next, p = self.step(belief, o)
+        for _, p, _, _ in path[len(history) + 1:]:
             if p <= 0.0:
                 return 0.0
             prob *= p
-            belief = belief_next
         return prob
 
     def next_symbol_probs(self, history: Seq) -> np.ndarray:
         """Distribution of the next symbol given ``history`` (length ``O``)."""
         if len(history) >= self.horizon:
             raise ValueError("history already at the horizon")
-        belief = self.forward_filter(history).probs
-        return self.emission @ belief
+        return self.emission @ self._walk(history)[-1][0]
 
     # -- sampling ----------------------------------------------------------
 
@@ -317,6 +379,25 @@ class TableDist:
         return rows_as_seqs(self.sample_futures(history, rng, k), size)
 
 
+def _read_only(values) -> np.ndarray:
+    arr = np.array(values, dtype=float)
+    arr.flags.writeable = False
+    return arr
+
+
+def _memo_depth(n_states: int, n_symbols: int, horizon: int) -> int:
+    """Deepest prefix length whose full prefix tree fits in ``_MEMO_BYTES``."""
+    node_bytes = 8 * n_states + _NODE_BYTES
+    depth, nodes, level = 0, 1, 1
+    while depth < horizon:
+        level *= n_symbols
+        if (nodes + level) * node_bytes > _MEMO_BYTES:
+            break
+        nodes += level
+        depth += 1
+    return depth
+
+
 def _check_steps(length: int, steps: int | None) -> int:
     """Validated number of future symbols to simulate (all by default)."""
     if steps is None:
@@ -353,12 +434,11 @@ def future_table(dist, length: int, histories: list[Seq] | None = None,
     Histories are all of length ``t`` in lexicographic order, or the given
     list; futures are all of length ``length``, in lexicographic order.  An
     :class:`Hmm` runs :meth:`Hmm.filter_batch` forward from ``mu`` for all
-    length-``t`` histories; a listed history is filtered once, continuing
-    from an earlier listed prefix, and its row is expanded on its own, so it
-    does not depend on the rest of the list.  Zero-probability HMM histories
-    follow the uniform reset.  Other distributions answer one
-    ``conditional_prob`` per entry, leaving zero rows for zero-probability
-    histories of length ``t``.
+    length-``t`` histories; a listed history is filtered by the memoised
+    prefix walk and its row is expanded on its own, so it does not depend on
+    the rest of the list.  Zero-probability HMM histories follow the uniform
+    reset.  Other distributions answer one ``conditional_prob`` per entry,
+    leaving zero rows for zero-probability histories of length ``t``.
     """
     if (histories is None) == (t is None):
         raise ValueError("pass exactly one of histories and t")
@@ -378,9 +458,10 @@ def future_table(dist, length: int, histories: list[Seq] | None = None,
             raise ValueError("history plus future exceed horizon")
         _check_enum(O, length)
         if isinstance(dist, Hmm):
-            joint, beliefs = _filter_each(dist, histories)
+            joint = np.empty(len(histories))
             table = np.empty((len(histories), seq_count(O, length)))
-            for i, belief in enumerate(beliefs):
+            for i, h in enumerate(histories):
+                belief, _, _, joint[i] = dist._walk(h)[-1]
                 table[i] = _tree_probs(dist, belief[None, :], length)[0][0]
             return joint, table
     joint = np.array([dist.joint_prob(h) for h in histories], dtype=float)
@@ -408,25 +489,6 @@ def _tree_probs(hmm: Hmm, beliefs: np.ndarray, length: int,
             p_sym = beliefs @ hmm.emission.T
         probs = (probs.reshape(-1, 1) * p_sym).reshape(probs.shape[0], -1)
     return probs, beliefs
-
-
-def _filter_each(hmm: Hmm, histories: list[Seq]) -> tuple[np.ndarray, list]:
-    """Joint probability and :meth:`Hmm.forward_filter` belief of each history.
-
-    A history continues from the longest prefix filtered before it.
-    """
-    known: dict[Seq, tuple[np.ndarray, float]] = {(): (hmm.mu.copy(), 1.0)}
-    for h in histories:
-        k = len(h)
-        while h[:k] not in known:
-            k -= 1
-        belief, prob = known[h[:k]]
-        for j in range(k, len(h)):
-            belief, p = hmm.step(belief, h[j])
-            prob *= p
-            known[h[:j + 1]] = (belief, prob)
-    return (np.array([known[h][1] for h in histories], dtype=float),
-            [known[h][0] for h in histories])
 
 
 def cond_matrix(dist, t: int, future_scheme: str = "exact") -> np.ndarray:

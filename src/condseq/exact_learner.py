@@ -8,6 +8,15 @@ whose predicted test probabilities disagree with the oracle, and uses the
 earliest point of disagreement to grow one level's history/test pair — which
 provably bumps that level's matrix rank by one.  When a sampling sweep finds no
 disagreement, the operators are packaged as a model.
+
+The sweep predicts each level at once: the level's test matrix is built once
+and all its distinct samples go through the operators as one ``(m, r)``
+array, one product per symbol.  The oracle is still asked for true test
+values one sample at a time, in draw order, up to the first disagreement, so
+the queries, their order and their totals are those of checking every sample
+in turn.  Processing a counterexample walks it once with a running
+coefficient vector, the same chain of products as predicting each of its
+prefixes from the root.
 """
 
 from __future__ import annotations
@@ -141,20 +150,31 @@ def solve_operators(state: LearnerState, oracle: OracleHandle) -> list[list[np.n
     return operators
 
 
-def _predict_tests(state: LearnerState, oracle: OracleHandle,
-                   operators: list[list[np.ndarray]], prefix: Seq) -> np.ndarray:
-    """Predicted joint probabilities of ``prefix`` followed by each level test."""
-    g = np.ones(1)
-    for t, o in enumerate(prefix):
-        g = operators[t][o - 1] @ g
-    return state.test_matrix(oracle, len(prefix)) @ g
-
-
 def _true_tests(state: LearnerState, oracle: OracleHandle, prefix: Seq) -> np.ndarray:
     return np.array(
         [state.pr(oracle, (), tuple(prefix) + tuple(lam))
          for lam in state.tests[len(prefix)]]
     )
+
+
+def _predict_level(state: LearnerState, oracle: OracleHandle,
+                   operators: list[list[np.ndarray]], prefixes: list[Seq],
+                   t: int) -> np.ndarray:
+    """Predicted ``Pr[x·λ]`` of each length-``t`` prefix ``x`` and level test ``λ``.
+
+    All prefixes go through the operators together, one ``(m, r_s)`` array
+    per step, each symbol's rows in one product; row ``i`` of the result
+    belongs to ``prefixes[i]``.
+    """
+    symbols = np.array(prefixes, dtype=np.int64).reshape(len(prefixes), t)
+    g = np.ones((len(prefixes), 1))
+    for s in range(t):
+        nxt = np.empty((len(prefixes), operators[s][0].shape[0]))
+        for o, op in enumerate(operators[s], start=1):
+            rows = symbols[:, s] == o
+            nxt[rows] = g[rows] @ op.T
+        g = nxt
+    return g @ state.test_matrix(oracle, t).T
 
 
 def find_counterexample(state: LearnerState, operators: list[list[np.ndarray]],
@@ -164,18 +184,16 @@ def find_counterexample(state: LearnerState, operators: list[list[np.ndarray]],
 
     Draws ``n`` joint-prefix samples per length ``t = 1..T`` (in that order)
     and returns the first ``(prefix, t)`` with an ∞-norm disagreement above
-    ``eq_tol``; ``None`` if every check passes.
+    ``eq_tol``; ``None`` if every check passes.  A level's distinct samples
+    are predicted in one batch; their true test values are then asked one
+    sample at a time in draw order, up to the first disagreement, so the
+    oracle sees the queries of checking each sample in turn.
     """
     for t in range(1, state.horizon + 1):
-        samples = oracle.sample_joint(t, size=n)
-        checked: set[Seq] = set()
-        for x in samples:
-            if x in checked:
-                continue
-            checked.add(x)
-            gap = np.max(np.abs(_predict_tests(state, oracle, operators, x)
-                                - _true_tests(state, oracle, x)))
-            if gap > eq_tol:
+        samples = list(dict.fromkeys(oracle.sample_joint(t, size=n)))
+        predicted = _predict_level(state, oracle, operators, samples, t)
+        for x, pred in zip(samples, predicted):
+            if np.max(np.abs(pred - _true_tests(state, oracle, x))) > eq_tol:
                 return x, t
     return None
 
@@ -192,8 +210,10 @@ def process_counterexample(state: LearnerState, operators: list[list[np.ndarray]
     rises by exactly one; the determinant check enforces it numerically.
     """
     first_bad = None
+    g = np.ones(1)
     for j in range(1, len(x) + 1):
-        diff = np.abs(_predict_tests(state, oracle, operators, x[:j])
+        g = operators[j - 1][x[j - 1] - 1] @ g
+        diff = np.abs(state.test_matrix(oracle, j) @ g
                       - _true_tests(state, oracle, x[:j]))
         if np.max(diff) > eq_tol:
             first_bad = (j, int(np.argmax(diff)))

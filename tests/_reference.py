@@ -9,10 +9,12 @@ two genuinely different routes to the same number.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
 from condseq.distributions import Hmm, TableDist
+from condseq.exact_learner import EQ_TOL
 from condseq.sequences import index_to_seq
 
 
@@ -52,6 +54,61 @@ def random_hmm(rng: np.random.Generator, n_states: int, n_symbols: int,
                horizon=horizon)
 
 
+def filter_from_root(hmm: Hmm, seq) -> tuple[np.ndarray, list[float], float]:
+    """Filter ``seq`` step by step from ``mu``, remembering nothing between calls.
+
+    Returns the belief after ``seq``, the probability of each symbol given
+    the ones before it, and the log joint probability summed in that order.
+    A zero-probability symbol resets the belief to uniform.
+    """
+    belief = np.array(hmm.mu, dtype=float)
+    probs, log_prob = [], 0.0
+    for o in seq:
+        w = hmm.emission[o - 1, :] * belief
+        p = float(w.sum())
+        if p <= 0.0:
+            belief, p = np.full(hmm.n_states, 1.0 / hmm.n_states), 0.0
+        else:
+            belief = hmm.transition @ (w / p)
+        probs.append(p)
+        log_prob = log_prob + math.log(p) if p > 0.0 else -math.inf
+    return belief, probs, log_prob
+
+
+def conditional_from_root(hmm: Hmm, history, future) -> float:
+    """``Pr[future | history]``: the product of the future's step probabilities."""
+    prob = 1.0
+    for p in filter_from_root(hmm, tuple(history) + tuple(future))[1][len(history):]:
+        if p <= 0.0:
+            return 0.0
+        prob *= p
+    return prob
+
+
+def per_sample_counterexample(state, operators, oracle, n: int,
+                              eq_tol: float = EQ_TOL):
+    """The counterexample sweep one sample at a time, as first written.
+
+    Each distinct sample is pushed through the operators from the root and
+    checked against the oracle before the next one is looked at.
+    """
+    for t in range(1, state.horizon + 1):
+        checked = set()
+        for x in oracle.sample_joint(t, size=n):
+            if x in checked:
+                continue
+            checked.add(x)
+            g = np.ones(1)
+            for s, o in enumerate(x):
+                g = operators[s][o - 1] @ g
+            predicted = state.test_matrix(oracle, t) @ g
+            true = np.array([state.pr(oracle, (), x + tuple(lam))
+                             for lam in state.tests[t]])
+            if np.max(np.abs(predicted - true)) > eq_tol:
+                return x, t
+    return None
+
+
 def full_hmm_draws(hmm: Hmm, history, rng: np.random.Generator,
                    size: int) -> list[tuple]:
     """Whole futures of ``history`` by plain step-by-step simulation.
@@ -59,7 +116,7 @@ def full_hmm_draws(hmm: Hmm, history, rng: np.random.Generator,
     One uniform per draw per step, every step of every future simulated.
     """
     length = hmm.horizon - len(history)
-    beliefs = np.tile(hmm.forward_filter(history).probs, (size, 1))
+    beliefs = np.tile(filter_from_root(hmm, history)[0], (size, 1))
     out = np.empty((size, length), dtype=np.int64)
     for j in range(length):
         cum = np.cumsum(beliefs @ hmm.emission.T, axis=1)

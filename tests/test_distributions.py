@@ -1,10 +1,13 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from condseq import distributions
 from condseq.distributions import (
     EnumerationCapError,
     Hmm,
@@ -19,10 +22,13 @@ from condseq.distributions import (
     rank_of,
     save_hmm,
 )
+from condseq.generators import make_parity_hmm
 from condseq.sequences import all_seqs, seq_to_index
 
 from _reference import (
     brute_force_joint,
+    conditional_from_root,
+    filter_from_root,
     full_hmm_draws,
     full_table_draws,
     random_hmm,
@@ -326,3 +332,100 @@ def test_hmm_text_prefixes_fail_with_the_line(seed):
     np.testing.assert_array_equal(clone.mu, hmm.mu)
     np.testing.assert_array_equal(clone.emission, hmm.emission)
     np.testing.assert_array_equal(clone.transition, hmm.transition)
+
+
+def _hmm_with_zero_symbols(rng: np.random.Generator) -> Hmm:
+    """Random HMM where each state may never emit some symbols."""
+    n_states, n_symbols = int(rng.integers(1, 4)), int(rng.integers(2, 4))
+    horizon = int(rng.integers(1, 7))
+    emission = rng.dirichlet(np.ones(n_symbols), size=n_states).T
+    emission[rng.random(emission.shape) < 0.4] = 0.0
+    emission[0, emission.sum(axis=0) == 0.0] = 1.0
+    emission /= emission.sum(axis=0)
+    transition = rng.dirichlet(np.ones(n_states), size=n_states).T
+    return Hmm(mu=rng.dirichlet(np.ones(n_states)), emission=emission,
+               transition=transition, horizon=horizon)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_memoised_walk_is_bit_identical_to_filtering_from_root(data):
+    """Interleaved queries, including zero-probability resets, at any memo depth."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 10_000)))
+    # A small budget puts the memo's depth limit inside the horizon.
+    with mock.patch.object(distributions, "_MEMO_BYTES",
+                           data.draw(st.integers(0, 2**12))):
+        hmm = _hmm_with_zero_symbols(rng)
+    O, T = hmm.n_symbols, hmm.horizon
+    seen = [()]
+    for _ in range(data.draw(st.integers(1, 40))):
+        # a prefix of an earlier query, extended: hits on the memo and the path
+        base = data.draw(st.sampled_from(seen))
+        base = base[:data.draw(st.integers(0, len(base)))]
+        seq = base + tuple(data.draw(st.lists(st.integers(1, O),
+                                              max_size=T - len(base))))
+        seen.append(seq)
+        kind = data.draw(st.sampled_from(
+            ["conditional", "joint", "filter", "next", "sample"]))
+        belief, _, log_prob = filter_from_root(hmm, seq)
+        if kind == "conditional":
+            cut = data.draw(st.integers(0, len(seq)))
+            assert hmm.conditional_prob(seq[:cut], seq[cut:]) == \
+                conditional_from_root(hmm, seq[:cut], seq[cut:])
+        elif kind == "joint":
+            assert hmm.joint_prob(seq) == math.exp(log_prob)
+        elif kind == "filter":
+            state = hmm.forward_filter(seq)
+            assert state.probs.tobytes() == belief.tobytes()
+            assert state.log_prob == log_prob
+        elif kind == "next" and len(seq) < T:
+            assert (hmm.next_symbol_probs(seq).tobytes()
+                    == (hmm.emission @ belief).tobytes())
+        elif kind == "sample":
+            seed = data.draw(st.integers(0, 100))
+            got = hmm.sample_futures(seq, np.random.default_rng(seed), 3)
+            want = full_hmm_draws(hmm, seq, np.random.default_rng(seed), 3)
+            assert [tuple(row) for row in got.tolist()] == want
+    # keys number the prefix tree level by level, so these are depth <= memo depth
+    assert max(hmm._memo) < sum(O**d for d in range(hmm._memo_depth + 1))
+
+
+def test_prefix_memo_stays_within_its_budget():
+    tracemalloc.start()
+    try:
+        hmm = make_parity_hmm(12, alpha=0.2)
+        before = tracemalloc.get_traced_memory()[0]
+        for seq in all_seqs(2, 12):
+            hmm.joint_prob(seq)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    depth = hmm._memo_depth
+    assert depth < 12  # the budget, not the horizon, limits the memo here
+    assert len(hmm._memo) == 2 ** (depth + 1) - 1
+    node_bytes = 8 * hmm.n_states + distributions._NODE_BYTES
+    assert len(hmm._memo) * node_bytes <= distributions._MEMO_BYTES
+    assert grown <= distributions._MEMO_BYTES
+
+
+def test_hmm_parameters_and_beliefs_are_read_only():
+    mu = np.array([0.5, 0.5])
+    emission = np.array([[0.9, 0.2], [0.1, 0.8]])
+    hmm = Hmm(mu=mu, emission=emission, transition=np.eye(2), horizon=3)
+    mu[0] = 1.0  # the HMM holds a copy, and the caller's array stays writable
+    assert hmm.mu.tolist() == [0.5, 0.5]
+    before = hmm.joint_prob((1, 2))
+    for arr in (hmm.mu, hmm.emission, hmm.transition,
+                hmm.forward_filter((1,)).probs):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.25
+    assert hmm.joint_prob((1, 2)) == before
+
+
+def test_hmm_rejects_symbols_outside_the_alphabet():
+    hmm = _never_emits_two()
+    want = hmm.joint_prob((1, 1))
+    for bad in [(0,), (1, 3), (1, -1)]:
+        with pytest.raises(ValueError, match="outside 1..2"):
+            hmm.joint_prob(bad)
+    assert hmm.joint_prob((1, 1)) == want

@@ -1,14 +1,19 @@
+import copy
+
 import numpy as np
 import pytest
 
-from condseq.exact_learner import default_sample_count, learn_exact
+from condseq.distributions import Hmm
+from condseq.exact_learner import (default_sample_count, find_counterexample,
+                                   init_state, learn_exact,
+                                   process_counterexample, solve_operators)
 from condseq.generators import make_parity_hmm, make_random_table
 from condseq.metrics import tv_exact
 from condseq.oom import to_distribution
 from condseq.oracles import BudgetExceeded, OracleHandle, WrongOracleMode
 from condseq.sequences import all_seqs
 
-from _reference import random_hmm
+from _reference import per_sample_counterexample, random_hmm
 
 
 def _learn(dist, seed=0, **kwargs):
@@ -106,3 +111,40 @@ def test_budget_exhaustion_propagates():
     oracle = OracleHandle(hmm, mode="exact", seed=0, budget=25)
     with pytest.raises(BudgetExceeded):
         learn_exact(oracle, n_override=100)
+
+
+def test_batched_sweep_matches_the_per_sample_sweep():
+    """Same counterexample, and the same oracle queries in the same order."""
+    T = 8
+    oracle = OracleHandle(make_parity_hmm(T, alpha=0.2), mode="exact", seed=3)
+    state = init_state(oracle)
+    levels = []
+    while True:
+        operators = solve_operators(state, oracle)
+        ref_oracle, ref_state = copy.deepcopy((oracle, state))
+        found = find_counterexample(state, operators, oracle, 100)
+        assert found == per_sample_counterexample(ref_state, operators,
+                                                  ref_oracle, 100)
+        assert oracle.stats.as_dict() == ref_oracle.stats.as_dict()
+        assert list(state.values) == list(ref_state.values)
+        if found is None:
+            break
+        levels.append(found[1])
+        state.rounds += 1
+        process_counterexample(state, operators, oracle, found[0])
+    assert any(1 < t < T for t in levels)
+
+
+def test_learn_exact_cost_guard(monkeypatch):
+    """Counted, not timed: parity T=12, n=200, oracle seed 0."""
+    calls = [0]
+    step = Hmm.step
+
+    def counted(self, belief, o):
+        calls[0] += 1
+        return step(self, belief, o)
+
+    monkeypatch.setattr(Hmm, "step", counted)
+    oracle, _, _ = _learn(make_parity_hmm(12, alpha=0.2), n_override=200)
+    assert oracle.stats.total == 20_499
+    assert calls[0] <= 9_500  # filtering each query from the root took 28,676
