@@ -12,6 +12,11 @@ package:
   ``size`` futures of ``history`` (all ``T - len(history)`` by default),
 - ``sample_conditional(history, rng, size=None)``, the same draws as tuples.
 
+Learned-model wrappers (:func:`condseq.oom.to_distribution`) offer evaluation
+only: ``joint_prob``, ``conditional_prob`` and ``next_symbol_probs``, plus the
+batched walks ``prefix_levels`` (which :func:`enumerate_joint` uses) and
+``row_conditionals``.  They have no sampling surface.
+
 Truncated draws consume the random stream exactly like full ones: a draw with
 ``steps=s`` equals the first ``s`` columns of a full draw from an equally
 seeded generator, and leaves the generator in the same state, so the next
@@ -421,6 +426,10 @@ def enumerate_joint(dist) -> np.ndarray:
         return _tree_probs(dist, dist.mu[None, :], dist.horizon)[0][0]
     O, T = dist.n_symbols, dist.horizon
     _check_enum(O, T)
+    if hasattr(dist, "prefix_levels"):  # learned-model wrappers
+        for _, probs, _ in dist.prefix_levels():
+            pass
+        return probs
     out = np.empty(seq_count(O, T))
     for i, seq in enumerate(all_seqs(O, T)):
         out[i] = dist.joint_prob(seq)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import numerical_rank
-from .oom import OomModel
+from .oom import OomModel, row_walk
 from .oracles import OracleHandle
 from .sequences import Seq
 
@@ -162,18 +162,12 @@ def _predict_level(state: LearnerState, oracle: OracleHandle,
                    t: int) -> np.ndarray:
     """Predicted ``Pr[x·λ]`` of each length-``t`` prefix ``x`` and level test ``λ``.
 
-    All prefixes go through the operators together, one ``(m, r_s)`` array
-    per step, each symbol's rows in one product; row ``i`` of the result
-    belongs to ``prefixes[i]``.
+    All prefixes go through the operators together in one
+    :func:`~condseq.oom.row_walk`; row ``i`` of the result belongs to
+    ``prefixes[i]``.
     """
     symbols = np.array(prefixes, dtype=np.int64).reshape(len(prefixes), t)
-    g = np.ones((len(prefixes), 1))
-    for s in range(t):
-        nxt = np.empty((len(prefixes), operators[s][0].shape[0]))
-        for o, op in enumerate(operators[s], start=1):
-            rows = symbols[:, s] == o
-            nxt[rows] = g[rows] @ op.T
-        g = nxt
+    *_, g = row_walk(operators, symbols)
     return g @ state.test_matrix(oracle, t).T
 
 

@@ -13,16 +13,16 @@ from itertools import combinations
 import numpy as np
 
 from .distributions import ENUM_CAP, enumerate_joint, future_table
-from .oom import OomModel, eval_prob
+from .oom import OomModel, level_walk
 from .sequences import Seq, all_seqs, seq_count, seq_to_index
 
 EIG_REL_CUTOFF = 1e-10
 
 
 def _seq_probs(dist) -> np.ndarray:
-    if isinstance(dist, OomModel):
-        return np.array([eval_prob(dist, seq)
-                         for seq in all_seqs(dist.n_symbols, dist.horizon)])
+    if isinstance(dist, OomModel):  # raw values, summed off the last level
+        *_, coeffs = level_walk(dist.operators)
+        return coeffs.sum(axis=1)
     return enumerate_joint(dist)
 
 
@@ -40,15 +40,25 @@ def tv_exact(p, q) -> float:
 
 
 def conditional_gap_exact(p, q) -> float:
-    """Exactly enumerated ``ε' = max_{t,o} E_{x∼p} |q[o|x_{1:t}] − p[o|x_{1:t}]|``."""
+    """Exactly enumerated ``ε' = max_{t,o} E_{x∼p} |q[o|x_{1:t}] − p[o|x_{1:t}]|``.
+
+    A learned-model wrapper ``q`` answers each level at once through its
+    level walk; any other ``q`` one ``next_symbol_probs`` per history.
+    """
+    if (p.horizon, p.n_symbols) != (q.horizon, q.n_symbols):
+        raise ValueError("distributions must share horizon and alphabet")
     O, T = p.n_symbols, p.horizon
+    levels = q.prefix_levels() if hasattr(q, "prefix_levels") else None
     worst = 0.0
     for t in range(T):
-        joint, cond = future_table(p, 1, t=t)
-        gaps = np.zeros(O)
-        for h, w, p_next in zip(all_seqs(O, t), joint, cond):
-            if w > 0.0:
-                gaps += w * np.abs(np.asarray(q.next_symbol_probs(h)) - p_next)
+        joint, p_next = future_table(p, 1, t=t)
+        live = joint > 0.0
+        if levels is not None:
+            q_next = next(levels)[2][live]
+        else:
+            q_next = np.array([q.next_symbol_probs(h)
+                               for h, w in zip(all_seqs(O, t), live) if w])
+        gaps = joint[live] @ np.abs(q_next.reshape(-1, O) - p_next[live])
         worst = max(worst, float(gaps.max()))
     return worst
 
@@ -60,7 +70,10 @@ def tv_conditional_bound(p, q, n_samples: int = 0,
 
     ``ε'`` is the worst expected one-step conditional gap between ``q`` and
     ``p`` under ``p``-distributed prefixes — enumerated exactly with
-    ``exact=True``, otherwise estimated from ``n_samples`` joint draws.
+    ``exact=True``, otherwise estimated from ``n_samples`` joint draws.  The
+    draws are taken one at a time, so the random stream is that of drawing
+    and checking each in turn; a learned-model wrapper ``q`` then answers all
+    their prefixes in one row walk.
     """
     O, T = p.n_symbols, p.horizon
     if exact:
@@ -68,13 +81,15 @@ def tv_conditional_bound(p, q, n_samples: int = 0,
     else:
         if rng is None or n_samples <= 0:
             raise ValueError("need samples (or exact=True)")
+        draws = [p.sample_conditional((), rng) for _ in range(n_samples)]
+        if hasattr(q, "row_conditionals"):
+            q_next = q.row_conditionals(np.array(draws, dtype=np.int64))
+        else:
+            q_next = [[q.next_symbol_probs(x[:t]) for t in range(T)] for x in draws]
         totals = np.zeros((T, O))
-        for _ in range(n_samples):
-            x = p.sample_conditional((), rng)
-            prefixes = [x[:t] for t in range(T)]
-            _, p_next = future_table(p, 1, histories=prefixes)
-            q_next = np.array([q.next_symbol_probs(h) for h in prefixes])
-            totals += np.abs(q_next - p_next)
+        for x, q_rows in zip(draws, q_next):
+            _, p_next = future_table(p, 1, histories=[x[:t] for t in range(T)])
+            totals += np.abs(np.asarray(q_rows) - p_next)
         eps = float((totals / n_samples).max())
     return (T + 1) * O * eps / 2.0
 

@@ -15,6 +15,27 @@ Two prediction flavors turn a model into a proper distribution:
 
 Both telescope their own normalized conditionals into joint probabilities and
 fall back to uniform conditionals when a predicted mass hits zero.
+
+Each flavor writes its rule once, as one batched kernel: from the ``(N, r_t)``
+coefficients and ``(N,)`` telescoped probabilities of ``N`` length-``t``
+histories it gives their ``(N, O)`` next-symbol conditionals.  Two walks push
+coefficients through each level's operators with one product per symbol and
+call the kernel once per level:
+
+- the *level walk* (:func:`level_walk`, ``prefix_levels``) covers all
+  ``O**t`` prefixes, rows in ``seq_to_index`` order with row ``n·O + o - 1``
+  the child of row ``n`` by symbol ``o``.  ``enumerate_joint``, ``tv_exact``
+  and ``conditional_gap_exact`` evaluate learned models through it;
+- the *row walk* (:func:`row_walk`, ``row_conditionals``) covers the prefixes
+  of the rows of an ``(n, L)`` symbol array: the sampled conditional-gap bound
+  and the exact learner's counterexample sweep.
+
+``joint_prob``, ``conditional_prob`` and ``next_symbol_probs`` are the
+kernel's one-row case.  They read short prefixes off one level walk, kept
+within ``_TABLE_BYTES``, and take one kernel call per symbol past them.
+Batched and one-row values agree to rounding, not bit for bit: a row of a
+matrix product need not round like the matching matrix-vector product.
+A symbol outside ``1..O`` raises ``ValueError`` on every path.
 """
 
 from __future__ import annotations
@@ -28,6 +49,9 @@ from .sequences import Seq, format_seq, parse_seq
 
 RESIDUAL_TOL = 1e-9
 PINV_CUTOFF = 1e-10
+
+# Byte budget of the level-walk arrays a predictor keeps for short prefixes.
+_TABLE_BYTES = 2**18
 
 
 class BasisSpanError(ValueError):
@@ -86,11 +110,17 @@ class OomModel:
     def basis_sizes(self) -> list[int]:
         return [len(members) for members in self.bases]
 
+    def _operator(self, t: int, o: int) -> np.ndarray:
+        """``A_{o,t}``; a symbol outside ``1..O`` raises ``ValueError``."""
+        if not 0 < o <= self.n_symbols:  # o - 1 would wrap to another symbol
+            raise ValueError(f"symbol {o} outside 1..{self.n_symbols}")
+        return self.operators[t][o - 1]
+
     def propagate(self, seq: Seq) -> np.ndarray:
         """Coefficient vector after pushing ``seq`` through the operators."""
         g = np.ones(1)
         for t, o in enumerate(seq):
-            g = self.operators[t][o - 1] @ g
+            g = self._operator(t, o) @ g
         return g
 
 
@@ -117,7 +147,49 @@ def evolve_coefficients(model: OomModel, t: int, beta: np.ndarray, o: int,
     """Advance history coefficients past symbol ``o``: ``A_{o,t} β / Pr[o|h]``."""
     if step_prob <= 0.0:
         raise ZeroDivisionError("cannot evolve coefficients past a zero-probability step")
-    return (model.operators[t][o - 1] @ beta) / step_prob
+    return (model._operator(t, o) @ beta) / step_prob
+
+
+def level_walk(operators: list[list[np.ndarray]]):
+    """Coefficients of every prefix, level by level: ``(O**t, r_t)`` arrays.
+
+    Yields one array per level ``t = 0..len(operators)``, rows in
+    ``seq_to_index`` order: row ``n·O + o - 1`` of level ``t + 1`` is row
+    ``n`` of level ``t`` pushed through symbol ``o``'s operator.
+    """
+    coeffs = np.ones((1, 1))
+    yield coeffs
+    for per_symbol in operators:
+        n, O = coeffs.shape[0], len(per_symbol)
+        coeffs = np.stack([coeffs @ op.T for op in per_symbol], axis=1).reshape(
+            n * O, per_symbol[0].shape[0])
+        yield coeffs
+
+
+def row_walk(operators: list[list[np.ndarray]], symbols: np.ndarray):
+    """Coefficients of the prefixes of each row of an ``(n, L)`` symbol array.
+
+    Yields the ``(n, r_t)`` coefficients after the first ``t`` symbols of every
+    row, for ``t = 0..L``; each level pushes each symbol's rows through its
+    operator in one product.
+    """
+    n, length = symbols.shape
+    if length > len(operators):
+        raise ValueError("sequence longer than horizon")
+    if symbols.size:
+        O = len(operators[0])
+        bad = symbols[(symbols < 1) | (symbols > O)]
+        if bad.size:
+            raise ValueError(f"symbol {bad[0]} outside 1..{O}")
+    coeffs = np.ones((n, 1))
+    yield coeffs
+    for s in range(length):
+        nxt = np.empty((n, operators[s][0].shape[0]))
+        for o, op in enumerate(operators[s], start=1):
+            rows = symbols[:, s] == o
+            nxt[rows] = coeffs[rows] @ op.T
+        coeffs = nxt
+        yield coeffs
 
 
 def exact_coefficients(dist, members: list[Seq], history: Seq) -> np.ndarray:
@@ -195,76 +267,138 @@ def construct_exact_operators(dist, bases: list[list[Seq]],
 
 
 class _Predictor:
-    """Shared plumbing: cached coefficient propagation and telescoped products."""
+    """Evaluation over one batched kernel, :meth:`_conditionals`.
+
+    Subclasses implement only the kernel.  :meth:`prefix_levels` and
+    :meth:`row_conditionals` call it once per level on every history of the
+    level; the one-row path (``joint_prob``, ``conditional_prob``,
+    ``next_symbol_probs``) reads the short prefixes off one level walk and
+    calls it on one history at a time past them.
+    """
 
     def __init__(self, model: OomModel):
         self.model = model
         self.n_symbols = model.n_symbols
         self.horizon = model.horizon
-        self._states: dict[Seq, tuple[np.ndarray, float]] = {(): (np.ones(1), 1.0)}
+        self._table: list[tuple] | None = None
 
-    def _state(self, history: Seq) -> tuple[np.ndarray, float]:
-        """(coefficients, telescoped probability) after ``history``."""
-        if history in self._states:
-            return self._states[history]
-        prefix, o = history[:-1], history[-1]
-        g_prev, p_prev = self._state(prefix)
-        cond = self.next_symbol_probs(prefix)
-        t = len(prefix)
-        g = self.model.operators[t][o - 1] @ g_prev
-        state = (g, p_prev * float(cond[o - 1]))
-        self._states[history] = state
-        return state
+    def _conditionals(self, t: int, coeffs: np.ndarray,
+                      probs: np.ndarray) -> np.ndarray:
+        """``(N, O)`` next-symbol conditionals of ``N`` length-``t`` histories.
 
-    def next_symbol_probs(self, history: Seq) -> np.ndarray:
+        ``coeffs`` holds their ``(N, r_t)`` coefficients and ``probs`` their
+        ``(N,)`` telescoped probabilities.
+        """
         raise NotImplementedError
 
-    def joint_prob(self, seq: Seq) -> float:
+    def prefix_levels(self, depth: int | None = None):
+        """The level walk: ``(coeffs, probs, conds)`` for levels ``t = 0..depth``.
+
+        Each level covers all ``O**t`` length-``t`` histories, rows in
+        ``seq_to_index`` order: their coefficients, telescoped probabilities
+        and ``(O**t, O)`` next-symbol conditionals.  ``depth`` defaults to
+        the horizon, where ``probs`` is the joint table and ``coeffs`` and
+        ``conds`` are ``None``.
+        """
+        depth = self.horizon if depth is None else depth
+        probs, walk = np.ones(1), level_walk(self.model.operators)
+        for t in range(depth + 1):
+            if t == self.horizon:
+                yield None, probs, None
+                return
+            coeffs = next(walk)
+            conds = self._conditionals(t, coeffs, probs)
+            yield coeffs, probs, conds
+            probs = (probs[:, None] * conds).reshape(-1)
+
+    def row_conditionals(self, symbols) -> np.ndarray:
+        """The row walk: ``(n, L, O)`` conditionals after every proper prefix.
+
+        Entry ``[i, t]`` holds the next-symbol conditionals after the first
+        ``t`` symbols of row ``i`` of the ``(n, L)`` array ``symbols``.
+        """
+        symbols = np.asarray(symbols, dtype=np.int64)
+        n, length = symbols.shape
+        out = np.empty((n, length, self.n_symbols))
+        probs = np.ones(n)
+        for t, coeffs in zip(range(length), row_walk(self.model.operators, symbols)):
+            out[:, t] = self._conditionals(t, coeffs, probs)
+            probs = probs * out[np.arange(n), t, symbols[:, t] - 1]
+        return out
+
+    def _walk(self, seq: Seq) -> tuple[np.ndarray | None, float, list[float]]:
+        """``(g, p, steps)`` after ``seq``: coefficients (``None`` when a
+        full-length ``seq`` ends inside the table), telescoped probability
+        and the conditional of each symbol of ``seq`` given the ones before it.
+
+        The first levels come from one level walk, kept on first use down to
+        the deepest level whose arrays fit in ``_TABLE_BYTES``; the rest of
+        ``seq`` takes one kernel call and one operator product per symbol.
+        """
         seq = tuple(seq)
         if len(seq) > self.horizon:
             raise ValueError("sequence longer than horizon")
-        return self._state(seq)[1]
+        if self._table is None:
+            self._table = list(self.prefix_levels(self._table_depth()))
+        table, O = self._table, self.n_symbols
+        known = min(len(seq), len(table) - 1)
+        steps, idx = [], 0
+        for t, o in enumerate(seq[:known]):
+            if not 0 < o <= O:
+                raise ValueError(f"symbol {o} outside 1..{O}")
+            steps.append(float(table[t][2][idx, o - 1]))
+            idx = idx * O + o - 1
+        coeffs, probs, _ = table[known]
+        g, p = None if coeffs is None else coeffs[idx], float(probs[idx])
+        for t in range(known, len(seq)):
+            o = seq[t]
+            op = self.model._operator(t, o)
+            c = float(self._conditionals(t, g[None, :], np.array([p]))[0, o - 1])
+            steps.append(c)
+            p *= c
+            g = op @ g
+        return g, p, steps
 
-    def conditional_prob(self, history: Seq, future: Seq) -> float:
-        history, future = tuple(history), tuple(future)
-        prob = 1.0
-        for o in future:
-            prob *= float(self.next_symbol_probs(history)[o - 1])
-            history = history + (o,)
-        return prob
-
-    def sample_conditional(self, history: Seq, rng: np.random.Generator,
-                           size: int | None = None):
-        k = 1 if size is None else size
-        out = []
-        for _ in range(k):
-            h = tuple(history)
-            while len(h) < self.horizon:
-                probs = self.next_symbol_probs(h)
-                o = int(rng.choice(self.n_symbols, p=probs)) + 1
-                h = h + (o,)
-            out.append(h[len(history):])
-        return out[0] if size is None else out
-
-
-class RawPredictor(_Predictor):
-    """Normalizes raw one-step mass ``1ᵀ(A_{o,t} g_t)`` across symbols."""
+    def _table_depth(self) -> int:
+        """Deepest level whose level-walk arrays, with all above, fit the budget."""
+        O, sizes, used = self.n_symbols, self.model.basis_sizes(), 0
+        for t in range(self.horizon + 1):
+            # each row holds coefficients, a probability and conditionals
+            used += 8 * O**t * (sizes[t] + 1 + O)
+            if used > _TABLE_BYTES:
+                return max(t - 1, 0)
+        return self.horizon
 
     def next_symbol_probs(self, history: Seq) -> np.ndarray:
         history = tuple(history)
         if len(history) >= self.horizon:
             raise ValueError("history already at the horizon")
-        g, _ = self._state(history)
-        t = len(history)
-        mass = np.array(
-            [float((self.model.operators[t][o] @ g).sum())
-             for o in range(self.n_symbols)]
-        )
-        mass = np.clip(mass, 0.0, None)
-        total = mass.sum()
-        if total <= 0.0:
-            return np.full(self.n_symbols, 1.0 / self.n_symbols)
-        return mass / total
+        g, p, _ = self._walk(history)
+        return self._conditionals(len(history), g[None, :], np.array([p]))[0]
+
+    def joint_prob(self, seq: Seq) -> float:
+        return self._walk(seq)[1]
+
+    def conditional_prob(self, history: Seq, future: Seq) -> float:
+        history = tuple(history)
+        prob = 1.0
+        for c in self._walk(history + tuple(future))[2][len(history):]:
+            prob *= c
+        return prob
+
+
+class RawPredictor(_Predictor):
+    """Normalizes raw one-step mass ``1ᵀ(A_{o,t} g_t)`` across symbols."""
+
+    def __init__(self, model: OomModel):
+        super().__init__(model)
+        # row o - 1 of level t is 1ᵀ A_{o,t}: coefficients to symbol o's mass
+        self._mass = [np.array([op.sum(axis=0) for op in per_symbol])
+                      for per_symbol in model.operators]
+
+    def _conditionals(self, t: int, coeffs: np.ndarray,
+                      probs: np.ndarray) -> np.ndarray:
+        return _normalized(np.maximum(coeffs @ self._mass[t].T, 0.0))
 
 
 class AnchoredPredictor(_Predictor):
@@ -275,23 +409,28 @@ class AnchoredPredictor(_Predictor):
             raise ValueError("anchored prediction needs step matrices")
         super().__init__(model)
 
-    def next_symbol_probs(self, history: Seq) -> np.ndarray:
-        history = tuple(history)
-        if len(history) >= self.horizon:
-            raise ValueError("history already at the horizon")
-        g, p_hat = self._state(history)
-        if p_hat <= 0.0:
-            return np.full(self.n_symbols, 1.0 / self.n_symbols)
-        t = len(history)
-        numer = self.model.step_matrices[t] @ g  # (O,)
-        if self.n_symbols == 2:
-            q1 = float(np.clip(numer[0] / p_hat, 0.0, 1.0))
-            return np.array([q1, 1.0 - q1])
-        q = np.clip(numer / p_hat, 0.0, 1.0)
-        total = q.sum()
-        if total <= 0.0:
-            return np.full(self.n_symbols, 1.0 / self.n_symbols)
-        return q / total
+    def _conditionals(self, t: int, coeffs: np.ndarray,
+                      probs: np.ndarray) -> np.ndarray:
+        p_hat = probs[:, None]
+        # rows whose p_hat is <= 0 keep 0.5 everywhere, which the complement
+        # rule or the normalization below turns into the uniform conditional
+        q = np.empty((probs.shape[0], self.n_symbols))
+        q.fill(0.5)
+        np.divide(coeffs @ self.model.step_matrices[t].T, p_hat, out=q,
+                  where=p_hat > 0.0)
+        np.minimum(np.maximum(q, 0.0, out=q), 1.0, out=q)
+        if self.n_symbols == 2:  # the complement rule on symbol 1
+            np.subtract(1.0, q[:, 0], out=q[:, 1])
+            return q
+        return _normalized(q)
+
+
+def _normalized(mass: np.ndarray) -> np.ndarray:
+    """Rows of nonnegative ``mass`` scaled to sum to 1; uniform where the sum is 0."""
+    total = mass.sum(axis=1, keepdims=True)
+    out = np.empty_like(mass)
+    out.fill(1.0 / mass.shape[1])
+    return np.divide(mass, total, out=out, where=total > 0.0)
 
 
 def to_distribution(model: OomModel, flavor: str = "auto"):

@@ -13,9 +13,9 @@ import math
 
 import numpy as np
 
-from condseq.distributions import Hmm, TableDist
+from condseq.distributions import Hmm, TableDist, future_table
 from condseq.exact_learner import EQ_TOL
-from condseq.sequences import index_to_seq
+from condseq.sequences import all_seqs, index_to_seq
 
 
 def brute_force_joint(hmm: Hmm, seq) -> float:
@@ -157,3 +157,114 @@ def gram_spectrum(dist, members, t: int) -> np.ndarray:
                    for h in hists] for f, mass in zip(kept, d[d > 0.0])])
     z = z.reshape(len(kept), len(hists))
     return np.sort(np.linalg.eigvalsh(z.T @ z))[::-1]
+
+
+class DictPredictor:
+    """A learned-model wrapper one prefix at a time, as first written.
+
+    Every prefix's coefficients and telescoped probability are cached in a
+    dict and built from its parent's with one operator product and one
+    ``next_symbol_probs`` call.
+    """
+
+    def __init__(self, model):
+        self.model = model
+        self.n_symbols = model.n_symbols
+        self.horizon = model.horizon
+        self._states = {(): (np.ones(1), 1.0)}
+
+    def _state(self, history):
+        """(coefficients, telescoped probability) after ``history``."""
+        if history in self._states:
+            return self._states[history]
+        prefix, o = history[:-1], history[-1]
+        g_prev, p_prev = self._state(prefix)
+        cond = self.next_symbol_probs(prefix)
+        t = len(prefix)
+        g = self.model.operators[t][o - 1] @ g_prev
+        state = (g, p_prev * float(cond[o - 1]))
+        self._states[history] = state
+        return state
+
+    def joint_prob(self, seq) -> float:
+        seq = tuple(seq)
+        if len(seq) > self.horizon:
+            raise ValueError("sequence longer than horizon")
+        return self._state(seq)[1]
+
+    def conditional_prob(self, history, future) -> float:
+        history, future = tuple(history), tuple(future)
+        prob = 1.0
+        for o in future:
+            prob *= float(self.next_symbol_probs(history)[o - 1])
+            history = history + (o,)
+        return prob
+
+
+class DictRawPredictor(DictPredictor):
+    """Normalizes raw one-step mass ``1ᵀ(A_{o,t} g_t)`` across symbols."""
+
+    def next_symbol_probs(self, history):
+        history = tuple(history)
+        if len(history) >= self.horizon:
+            raise ValueError("history already at the horizon")
+        g, _ = self._state(history)
+        t = len(history)
+        mass = np.array(
+            [float((self.model.operators[t][o] @ g).sum())
+             for o in range(self.n_symbols)]
+        )
+        mass = np.clip(mass, 0.0, None)
+        total = mass.sum()
+        if total <= 0.0:
+            return np.full(self.n_symbols, 1.0 / self.n_symbols)
+        return mass / total
+
+
+class DictAnchoredPredictor(DictPredictor):
+    """Uses stored one-step matrices against the current prediction mass."""
+
+    def next_symbol_probs(self, history):
+        history = tuple(history)
+        if len(history) >= self.horizon:
+            raise ValueError("history already at the horizon")
+        g, p_hat = self._state(history)
+        if p_hat <= 0.0:
+            return np.full(self.n_symbols, 1.0 / self.n_symbols)
+        t = len(history)
+        numer = self.model.step_matrices[t] @ g  # (O,)
+        if self.n_symbols == 2:
+            q1 = float(np.clip(numer[0] / p_hat, 0.0, 1.0))
+            return np.array([q1, 1.0 - q1])
+        q = np.clip(numer / p_hat, 0.0, 1.0)
+        total = q.sum()
+        if total <= 0.0:
+            return np.full(self.n_symbols, 1.0 / self.n_symbols)
+        return q / total
+
+
+def conditional_gap_loop(p, q) -> float:
+    """``ε'`` one history at a time, each ``q`` conditional asked on its own."""
+    O, T = p.n_symbols, p.horizon
+    worst = 0.0
+    for t in range(T):
+        joint, cond = future_table(p, 1, t=t)
+        gaps = np.zeros(O)
+        for h, w, p_next in zip(all_seqs(O, t), joint, cond):
+            if w > 0.0:
+                gaps += w * np.abs(np.asarray(q.next_symbol_probs(h)) - p_next)
+        worst = max(worst, float(gaps.max()))
+    return worst
+
+
+def sampled_bound_loop(p, q, n_samples: int, rng: np.random.Generator) -> float:
+    """The sampled ``(T + 1) · O · ε' / 2`` bound, one draw checked at a time."""
+    O, T = p.n_symbols, p.horizon
+    totals = np.zeros((T, O))
+    for _ in range(n_samples):
+        x = p.sample_conditional((), rng)
+        prefixes = [x[:t] for t in range(T)]
+        _, p_next = future_table(p, 1, histories=prefixes)
+        q_next = np.array([q.next_symbol_probs(h) for h in prefixes])
+        totals += np.abs(q_next - p_next)
+    return (T + 1) * O * float((totals / n_samples).max()) / 2.0

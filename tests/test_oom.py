@@ -1,16 +1,26 @@
+import re
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from condseq import oom
 from condseq.distributions import enumerate_joint
 from condseq.generators import (
     greedy_spanning_bases,
     make_parity_hmm,
     parity_class_bases,
 )
-from condseq.metrics import sigma_matrix, tv_exact
+from condseq.metrics import (
+    conditional_gap_exact,
+    sigma_matrix,
+    tv_conditional_bound,
+    tv_exact,
+)
 from condseq.oom import (
+    AnchoredPredictor,
     BasisSpanError,
     OomModel,
     construct_exact_operators,
@@ -21,12 +31,20 @@ from condseq.oom import (
     load_model,
     model_from_text,
     model_to_text,
+    row_walk,
     save_model,
     to_distribution,
 )
 from condseq.sequences import all_seqs
 
-from _reference import brute_force_joint, random_hmm
+from _reference import (
+    DictAnchoredPredictor,
+    DictRawPredictor,
+    brute_force_joint,
+    conditional_gap_loop,
+    random_hmm,
+    sampled_bound_loop,
+)
 
 
 def _exact_model(dist):
@@ -195,3 +213,115 @@ def test_model_text_prefixes_fail_with_the_line_or_end_a_section(seed):
                 np.testing.assert_array_equal(a, b)
         assert (clone.step_matrices is None) == (k == min(boundaries))
         assert (clone.test_matrices is None) == (k < len(lines))
+
+
+# -- evaluation of learned models --------------------------------------------
+
+# Quarter-grid entries: sums and products of a few of them are exact, so the
+# batched walks and the one-prefix reference round only where they divide.
+GRID = st.sampled_from([-0.5, -0.25, 0.0, 0.0, 0.25, 0.5, 0.75, 1.0])
+REFERENCE = {"raw": DictRawPredictor, "anchored": DictAnchoredPredictor}
+
+
+@st.composite
+def oom_models(draw):
+    """Models with negative entries and zero-mass rows, so predictions clip,
+    telescoped probabilities die and conditionals fall back to uniform."""
+    n_symbols = draw(st.sampled_from([2, 3]))
+    horizon = draw(st.integers(1, 4))
+    sizes = [1] + [draw(st.integers(1, 3)) for _ in range(horizon)]
+
+    def matrix(rows, cols):
+        cells = draw(st.lists(GRID, min_size=rows * cols, max_size=rows * cols))
+        return np.array(cells).reshape(rows, cols)
+
+    return OomModel(
+        n_symbols=n_symbols, horizon=horizon,
+        bases=[[(1,) * t] * n for t, n in enumerate(sizes)],
+        operators=[[matrix(sizes[t + 1], sizes[t]) for _ in range(n_symbols)]
+                   for t in range(horizon)],
+        step_matrices=[matrix(n_symbols, sizes[t]) for t in range(horizon)],
+    )
+
+
+def _close(got, want):
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+
+@given(oom_models(), st.sampled_from(sorted(REFERENCE)), st.integers(0, 2**31 - 1))
+def test_batched_evaluation_matches_the_one_prefix_reference(model, flavor, seed):
+    O, T = model.n_symbols, model.horizon
+    ref = REFERENCE[flavor](model)
+    seqs = list(all_seqs(O, T))
+    learned = to_distribution(model, flavor)
+    _close(enumerate_joint(learned), [ref.joint_prob(s) for s in seqs])
+    _close(learned.row_conditionals(np.array(seqs).reshape(len(seqs), T)),
+           [[ref.next_symbol_probs(s[:t]) for t in range(T)] for s in seqs])
+
+    # the one-row path with short prefixes read off the level walk, then with
+    # every step taken on its own
+    for budget in (oom._TABLE_BYTES, 0):
+        with mock.patch.object(oom, "_TABLE_BYTES", budget):
+            one_row = to_distribution(model, flavor)
+            for t in range(T + 1):
+                for h in all_seqs(O, t):
+                    _close(one_row.joint_prob(h), ref.joint_prob(h))
+                    if t < T:
+                        _close(one_row.next_symbol_probs(h), ref.next_symbol_probs(h))
+            for s in seqs:
+                for k in range(T + 1):
+                    _close(one_row.conditional_prob(s[:k], s[k:]),
+                           ref.conditional_prob(s[:k], s[k:]))
+
+    hmm = random_hmm(np.random.default_rng(seed), 2, O, T)
+    _close(conditional_gap_exact(hmm, learned), conditional_gap_loop(hmm, ref))
+    _close(tv_conditional_bound(hmm, learned, n_samples=20,
+                                rng=np.random.default_rng(seed)),
+           sampled_bound_loop(hmm, ref, 20, np.random.default_rng(seed)))
+
+
+def test_tv_exact_walks_each_level_once(monkeypatch):
+    # a count, not a time: the referee asks the kernel once per level and
+    # never evaluates a sequence on its own
+    T = 12
+    hmm = make_parity_hmm(T, alpha=0.2)
+    learned = to_distribution(construct_exact_operators(hmm, parity_class_bases(T)))
+    kernel, levels = AnchoredPredictor._conditionals, []
+
+    def counted(self, t, coeffs, probs):
+        levels.append(t)
+        return kernel(self, t, coeffs, probs)
+
+    def refuse(self, seq):
+        raise AssertionError("tv_exact evaluated a single sequence")
+
+    monkeypatch.setattr(AnchoredPredictor, "_conditionals", counted)
+    monkeypatch.setattr(oom._Predictor, "joint_prob", refuse)
+    assert tv_exact(hmm, learned) <= 1e-9
+    assert len(levels) <= T
+
+
+@pytest.mark.parametrize("budget", [oom._TABLE_BYTES, 0])
+def test_symbols_outside_the_alphabet_raise(monkeypatch, budget):
+    # symbol 0 used to read symbol O's operator, and O + 1 to raise IndexError
+    monkeypatch.setattr(oom, "_TABLE_BYTES", budget)
+    hmm = make_parity_hmm(4, alpha=0.2)
+    model = construct_exact_operators(hmm, parity_class_bases(4))
+    for bad in (0, -1, 3):
+        message = re.escape(f"symbol {bad} outside 1..2")
+        with pytest.raises(ValueError, match=message):
+            eval_prob(model, (bad, 1, 2, 1))
+        with pytest.raises(ValueError, match=message):
+            evolve_coefficients(model, 1, np.ones(len(model.bases[1])), bad, 0.5)
+        with pytest.raises(ValueError, match=message):
+            list(row_walk(model.operators, np.array([[1, bad]])))
+        for flavor in ("raw", "anchored"):
+            learned = to_distribution(model, flavor)
+            for call in (lambda: learned.joint_prob((bad, 1, 2, 1)),
+                         lambda: learned.joint_prob((1, 2, 1, bad)),
+                         lambda: learned.next_symbol_probs((1, bad)),
+                         lambda: learned.conditional_prob((1,), (bad, 2))):
+                with pytest.raises(ValueError, match=message):
+                    call()
+            with pytest.raises(ValueError, match=message):
+                learned.row_conditionals(np.array([[1, 2, bad, 1]]))
