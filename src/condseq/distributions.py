@@ -12,10 +12,17 @@ package:
   ``size`` futures of ``history`` (all ``T - len(history)`` by default),
 - ``sample_conditional(history, rng, size=None)``, the same draws as tuples.
 
-Learned-model wrappers (:func:`condseq.oom.to_distribution`) offer evaluation
-only: ``joint_prob``, ``conditional_prob`` and ``next_symbol_probs``, plus the
-batched walks ``prefix_levels`` (which :func:`enumerate_joint` uses) and
-``row_conditionals``.  They have no sampling surface.
+An :class:`Hmm` and the learned-model wrappers
+(:func:`condseq.oom.to_distribution`) also offer the batched row walk
+``row_conditionals(symbols)``: from an ``(n, L)`` int64 symbol array, the
+``(n, L, O)`` next-symbol conditionals after every proper prefix of every
+row, one batched step per column.  A :class:`TableDist` does not; callers
+test for the method and otherwise ask one prefix at a time.  Batched and
+one-row values agree to rounding, not bit for bit: a row of a matrix product
+need not round like the matching matrix-vector product.  Learned-model
+wrappers offer evaluation only: ``joint_prob``, ``conditional_prob`` and
+``next_symbol_probs``, the row walk and the level walk ``prefix_levels``
+(which :func:`enumerate_joint` uses).  They have no sampling surface.
 
 Truncated draws consume the random stream exactly like full ones: a draw with
 ``steps=s`` equals the first ``s`` columns of a full draw from an equally
@@ -303,6 +310,44 @@ class Hmm:
         nxt = (w / norm) @ self.transition.T  # (N, O, S)
         nxt[p_sym <= 0.0] = 1.0 / self.n_states
         return p_sym, nxt.reshape(-1, self.n_states)
+
+    def row_conditionals(self, symbols) -> np.ndarray:
+        """The row walk: ``(n, L, O)`` conditionals after every proper prefix.
+
+        Entry ``[i, t]`` holds the next-symbol distribution after the first
+        ``t`` symbols of row ``i`` of the ``(n, L)`` array ``symbols``.  Each
+        column is one batched belief update, with the uniform reset of
+        :meth:`filter_batch`, of every distinct prefix of that length: rows
+        that share a prefix share its belief.
+        """
+        symbols = np.asarray(symbols, dtype=np.int64)
+        n, length = symbols.shape
+        O = self.n_symbols
+        if length > self.horizon:
+            raise ValueError("sequence longer than horizon")
+        bad = symbols[(symbols < 1) | (symbols > O)]
+        if bad.size:
+            raise ValueError(f"symbol {bad[0]} outside 1..{O}")
+        out = np.empty((n, length, O))
+        # beliefs of the distinct prefixes; row i's prefix is node[i]
+        beliefs, node = self.mu[None, :], np.zeros(n, dtype=np.int64)
+        for t in range(length):
+            probs = beliefs @ self.emission.T
+            out[:, t] = probs[node]
+            if t + 1 < length:
+                # number the distinct (prefix, symbol) children in order
+                child = node * O + symbols[:, t] - 1
+                seen = np.zeros(len(beliefs) * O, dtype=bool)
+                seen[child] = True
+                parent, sym = np.divmod(np.flatnonzero(seen), O)
+                node = np.cumsum(seen)[child] - 1
+                p = probs[parent, sym]
+                w = beliefs[parent]  # a copy, updated in place
+                w *= self.emission[sym]
+                w /= np.maximum(p, 1e-300)[:, None]
+                beliefs = w @ self.transition.T
+                beliefs[p <= 0.0] = 1.0 / self.n_states
+        return out
 
 
 @dataclass

@@ -11,12 +11,15 @@ disagreement, the operators are packaged as a model.
 
 The sweep predicts each level at once: the level's test matrix is built once
 and all its distinct samples go through the operators as one ``(m, r)``
-array, one product per symbol.  The oracle is still asked for true test
-values one sample at a time, in draw order, up to the first disagreement, so
-the queries, their order and their totals are those of checking every sample
-in turn.  Processing a counterexample walks it once with a running
-coefficient vector, the same chain of products as predicting each of its
-prefixes from the root.
+array, one product per symbol.  The oracle's side is batched per level too:
+one uncharged ``prefetch`` simulates every true test value ``Pr[x·λ]`` of the
+level in a single row walk of the distribution.  Charging stays per read:
+the learner still reads true test values through its memo, one sample at a
+time, in draw order, up to the first disagreement, and each value it has not
+seen costs one exact query, so the queries, their order, their totals and a
+budget's cut-off are those of checking every sample in turn.  Processing a
+counterexample walks it once with a running coefficient vector, the same
+chain of products as predicting each of its prefixes from the root.
 """
 
 from __future__ import annotations
@@ -179,13 +182,16 @@ def find_counterexample(state: LearnerState, operators: list[list[np.ndarray]],
     Draws ``n`` joint-prefix samples per length ``t = 1..T`` (in that order)
     and returns the first ``(prefix, t)`` with an ∞-norm disagreement above
     ``eq_tol``; ``None`` if every check passes.  A level's distinct samples
-    are predicted in one batch; their true test values are then asked one
-    sample at a time in draw order, up to the first disagreement, so the
-    oracle sees the queries of checking each sample in turn.
+    are predicted in one batch, and the oracle simulates all their true test
+    values in one uncharged :meth:`~condseq.oracles.OracleHandle.prefetch`.
+    Those values are then read one sample at a time in draw order, up to the
+    first disagreement, so the oracle sees and charges the queries of checking
+    each sample in turn.
     """
     for t in range(1, state.horizon + 1):
         samples = list(dict.fromkeys(oracle.sample_joint(t, size=n)))
         predicted = _predict_level(state, oracle, operators, samples, t)
+        oracle.prefetch(samples, state.tests[t])
         for x, pred in zip(samples, predicted):
             if np.max(np.abs(pred - _true_tests(state, oracle, x))) > eq_tol:
                 return x, t
@@ -258,12 +264,20 @@ def learn_exact(oracle: OracleHandle, eps: float = 0.05, delta: float = 0.1,
     """Run the full learner loop until a sampling sweep finds no counterexample.
 
     ``n_override`` fixes the per-length sample count; otherwise it is recomputed
-    each round from the current rank estimate.  Returns the learned model
+    each round from the current rank estimate.  ``n_override`` must be at
+    least 1, ``eps`` positive and ``delta`` inside ``(0, 1)``; anything else
+    raises ``ValueError`` before the first query.  Returns the learned model
     (with test and one-step matrices attached for anchored prediction) and an
     info dict with rounds, trace, and final sizes.  Aborts if the round count
     exceeds the rank-based bound plus slack — that signals a broken invariant,
     not a hard instance.
     """
+    if n_override is not None and n_override < 1:
+        raise ValueError(f"n_override must be at least 1, got {n_override}")
+    if not eps > 0.0:
+        raise ValueError(f"eps must be positive, got {eps}")
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
     state = init_state(oracle)
     T = state.horizon
     while True:

@@ -72,8 +72,11 @@ def tv_conditional_bound(p, q, n_samples: int = 0,
     ``p`` under ``p``-distributed prefixes — enumerated exactly with
     ``exact=True``, otherwise estimated from ``n_samples`` joint draws.  The
     draws are taken one at a time, so the random stream is that of drawing
-    and checking each in turn; a learned-model wrapper ``q`` then answers all
-    their prefixes in one row walk.
+    and checking each in turn.  Both sides then answer all their prefixes in
+    one ``row_conditionals`` walk of the ``(n, T)`` draw array (an HMM's
+    batched belief updates, a learned-model wrapper's row walk); a ``q``
+    without it asks ``next_symbol_probs`` per prefix, and a ``p`` without it
+    a :func:`future_table` of each draw's prefixes.
     """
     O, T = p.n_symbols, p.horizon
     if exact:
@@ -82,15 +85,18 @@ def tv_conditional_bound(p, q, n_samples: int = 0,
         if rng is None or n_samples <= 0:
             raise ValueError("need samples (or exact=True)")
         draws = [p.sample_conditional((), rng) for _ in range(n_samples)]
+        rows = np.array(draws, dtype=np.int64).reshape(n_samples, T)
         if hasattr(q, "row_conditionals"):
-            q_next = q.row_conditionals(np.array(draws, dtype=np.int64))
+            q_next = q.row_conditionals(rows)
         else:
-            q_next = [[q.next_symbol_probs(x[:t]) for t in range(T)] for x in draws]
-        totals = np.zeros((T, O))
-        for x, q_rows in zip(draws, q_next):
-            _, p_next = future_table(p, 1, histories=[x[:t] for t in range(T)])
-            totals += np.abs(np.asarray(q_rows) - p_next)
-        eps = float((totals / n_samples).max())
+            q_next = np.array([[q.next_symbol_probs(x[:t]) for t in range(T)]
+                               for x in draws])
+        if hasattr(p, "row_conditionals"):
+            p_next = p.row_conditionals(rows)
+        else:
+            p_next = np.array([future_table(p, 1, [x[:t] for t in range(T)])[1]
+                               for x in draws])
+        eps = float((np.abs(q_next - p_next).sum(axis=0) / n_samples).max())
     return (T + 1) * O * eps / 2.0
 
 

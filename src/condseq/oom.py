@@ -131,25 +131,6 @@ def eval_prob(model: OomModel, seq: Seq) -> float:
     return float(model.propagate(seq).sum())
 
 
-def eval_prefix_tests(model: OomModel, prefix: Seq,
-                      test_matrix: np.ndarray) -> np.ndarray:
-    """Predicted joint probabilities of ``prefix`` followed by each test future.
-
-    ``test_matrix`` holds the conditional probabilities of the caller's test
-    futures given the level-``len(prefix)`` basis members.
-    """
-    g = model.propagate(prefix)
-    return np.asarray(test_matrix) @ g
-
-
-def evolve_coefficients(model: OomModel, t: int, beta: np.ndarray, o: int,
-                        step_prob: float) -> np.ndarray:
-    """Advance history coefficients past symbol ``o``: ``A_{o,t} β / Pr[o|h]``."""
-    if step_prob <= 0.0:
-        raise ZeroDivisionError("cannot evolve coefficients past a zero-probability step")
-    return (model._operator(t, o) @ beta) / step_prob
-
-
 def level_walk(operators: list[list[np.ndarray]]):
     """Coefficients of every prefix, level by level: ``(O**t, r_t)`` arrays.
 

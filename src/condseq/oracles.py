@@ -10,6 +10,13 @@ Sampling queries come as arrays: ``sample_futures`` returns one row per drawn
 future and charges one query per row, however many of the future's symbols
 the caller asks for (a truncated draw is the prefix of a full one).
 ``sample_query`` and ``sample_joint`` return the same draws as tuples.
+
+Exact values are read only through ``exact_query``, one charged query each.
+``prefetch`` is simulation, not a query: it charges nothing and returns
+nothing, but computes a batch of joint probabilities ``Pr[x·λ]`` in one row
+walk of the distribution, so that the ``exact_query`` calls which then read
+them, one at a time and each charged as before, need no simulation of their
+own.  Only the latest batch is held.
 """
 
 from __future__ import annotations
@@ -83,6 +90,7 @@ class OracleHandle:
     budget: int | None = None
     stats: OracleStats = field(default_factory=OracleStats)
     rng: np.random.Generator = field(init=False, repr=False)
+    _prefetched: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.mode not in (EXACT, SAMPLING):
@@ -115,7 +123,39 @@ class OracleHandle:
         if len(history) + len(future) > self.horizon:
             raise ValueError("history plus future exceed horizon")
         self._charge(1, len(history), "exact_queries")
-        return self.dist.conditional_prob(tuple(history), tuple(future))
+        history, future = tuple(history), tuple(future)
+        if not history and future in self._prefetched:
+            return self._prefetched[future]
+        return self.dist.conditional_prob(history, future)
+
+    def prefetch(self, prefixes: list[Seq], tests: list[Seq]) -> None:
+        """Simulate ``Pr[x·λ]`` for every prefix ``x`` and test ``λ``; no query.
+
+        One ``row_conditionals`` walk of the distribution gives each
+        value as the left-to-right product of its symbols' conditionals, as
+        ``conditional_prob((), x·λ)`` defines it; :meth:`exact_query` then
+        answers those keys from this batch, which replaces the previous one.
+        A distribution without ``row_conditionals`` is not prefetched.
+        """
+        if self.mode != EXACT:
+            raise WrongOracleMode("prefetch requires an exact-mode oracle")
+        self._prefetched = {}
+        if not hasattr(self.dist, "row_conditionals"):
+            return
+        keys = [key for key in (tuple(x) + tuple(lam) for x in prefixes for lam in tests)
+                if len(key) <= self.horizon]
+        lengths = np.array([len(key) for key in keys], dtype=np.int64)
+        width = int(lengths.max(initial=0))
+        # short keys are padded with symbol 1, whose conditionals go unused
+        symbols = np.array([key + (1,) * (width - len(key)) for key in keys],
+                           dtype=np.int64).reshape(len(keys), width)
+        conds = self.dist.row_conditionals(symbols)
+        steps = np.take_along_axis(conds, symbols[:, :, None] - 1, axis=2)[:, :, 0]
+        steps[np.arange(width) >= lengths[:, None]] = 1.0
+        probs = np.ones(len(keys))
+        for s in range(width):
+            probs *= steps[:, s]
+        self._prefetched = dict(zip(keys, probs.tolist()))
 
     # -- sampling mode -----------------------------------------------------
 

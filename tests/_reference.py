@@ -54,6 +54,19 @@ def random_hmm(rng: np.random.Generator, n_states: int, n_symbols: int,
                horizon=horizon)
 
 
+def random_hmm_with_zero_symbols(rng: np.random.Generator) -> Hmm:
+    """Random HMM where each state may never emit some symbols."""
+    n_states, n_symbols = int(rng.integers(1, 4)), int(rng.integers(2, 4))
+    horizon = int(rng.integers(1, 7))
+    emission = rng.dirichlet(np.ones(n_symbols), size=n_states).T
+    emission[rng.random(emission.shape) < 0.4] = 0.0
+    emission[0, emission.sum(axis=0) == 0.0] = 1.0
+    emission /= emission.sum(axis=0)
+    transition = rng.dirichlet(np.ones(n_states), size=n_states).T
+    return Hmm(mu=rng.dirichlet(np.ones(n_states)), emission=emission,
+               transition=transition, horizon=horizon)
+
+
 def filter_from_root(hmm: Hmm, seq) -> tuple[np.ndarray, list[float], float]:
     """Filter ``seq`` step by step from ``mu``, remembering nothing between calls.
 

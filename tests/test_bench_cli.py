@@ -286,3 +286,18 @@ def test_params_an_algorithm_does_not_take_are_rejected(parity_file, tmp_path):
     with pytest.raises(SystemExit):
         main(["learn-sampling", "--instance", parity_file,
               "--rel-accuracy", "0.1"])
+
+
+def test_exact_params_that_cannot_work_are_rejected(parity_file):
+    # n_override=0 used to return a rank-one model after 0 rounds, eps=0 and
+    # delta=0 to divide by zero, and delta=-1 to give n=3200
+    for params, name in [({"n_override": 0}, "n_override"),
+                         ({"n_override": -1}, "n_override"),
+                         ({"eps": 0.0}, "eps"), ({"eps": -0.05}, "eps"),
+                         ({"delta": 0.0}, "delta"), ({"delta": -1.0}, "delta")]:
+        with pytest.raises(ValueError, match=name):
+            run_experiment(_exact_config(parity_file, params=params))
+    for flag, value, name in [("--samples", "0", "n_override"),
+                              ("--eps", "0", "eps"), ("--delta", "-1", "delta")]:
+        with pytest.raises(ValueError, match=name):
+            main(["learn-exact", "--instance", parity_file, flag, value])

@@ -32,6 +32,7 @@ from _reference import (
     full_hmm_draws,
     full_table_draws,
     random_hmm,
+    random_hmm_with_zero_symbols,
 )
 
 HAND_TABLE = TableDist(np.array([0.1, 0.2, 0.3, 0.4]), n_symbols=2, horizon=2)
@@ -334,19 +335,6 @@ def test_hmm_text_prefixes_fail_with_the_line(seed):
     np.testing.assert_array_equal(clone.transition, hmm.transition)
 
 
-def _hmm_with_zero_symbols(rng: np.random.Generator) -> Hmm:
-    """Random HMM where each state may never emit some symbols."""
-    n_states, n_symbols = int(rng.integers(1, 4)), int(rng.integers(2, 4))
-    horizon = int(rng.integers(1, 7))
-    emission = rng.dirichlet(np.ones(n_symbols), size=n_states).T
-    emission[rng.random(emission.shape) < 0.4] = 0.0
-    emission[0, emission.sum(axis=0) == 0.0] = 1.0
-    emission /= emission.sum(axis=0)
-    transition = rng.dirichlet(np.ones(n_states), size=n_states).T
-    return Hmm(mu=rng.dirichlet(np.ones(n_states)), emission=emission,
-               transition=transition, horizon=horizon)
-
-
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_memoised_walk_is_bit_identical_to_filtering_from_root(data):
@@ -355,7 +343,7 @@ def test_memoised_walk_is_bit_identical_to_filtering_from_root(data):
     # A small budget puts the memo's depth limit inside the horizon.
     with mock.patch.object(distributions, "_MEMO_BYTES",
                            data.draw(st.integers(0, 2**12))):
-        hmm = _hmm_with_zero_symbols(rng)
+        hmm = random_hmm_with_zero_symbols(rng)
     O, T = hmm.n_symbols, hmm.horizon
     seen = [()]
     for _ in range(data.draw(st.integers(1, 40))):
@@ -428,4 +416,39 @@ def test_hmm_rejects_symbols_outside_the_alphabet():
     for bad in [(0,), (1, 3), (1, -1)]:
         with pytest.raises(ValueError, match="outside 1..2"):
             hmm.joint_prob(bad)
+        with pytest.raises(ValueError, match="outside 1..2"):
+            hmm.row_conditionals(np.array([(1,) * (2 - len(bad)) + bad]))
     assert hmm.joint_prob((1, 1)) == want
+    with pytest.raises(ValueError, match="longer than horizon"):
+        hmm.row_conditionals(np.ones((1, 4), dtype=np.int64))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_row_conditionals_match_one_prefix_at_a_time(data):
+    """The batched row walk against ``next_symbol_probs``, resets included."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 10_000)))
+    hmm = random_hmm_with_zero_symbols(rng)
+    O, T = hmm.n_symbols, hmm.horizon
+    length = data.draw(st.integers(0, T))
+    symbols = rng.integers(1, O + 1, size=(data.draw(st.integers(0, 12)), length))
+    # repeated rows share every prefix, so they share beliefs inside the walk
+    symbols = np.vstack([symbols, symbols[: len(symbols) // 2]])
+    got = hmm.row_conditionals(symbols)
+    assert got.shape == (len(symbols), length, O)
+    want = [[hmm.next_symbol_probs(tuple(row[:t])) for t in range(length)]
+            for row in symbols.tolist()]
+    np.testing.assert_allclose(got, np.array(want).reshape(got.shape),
+                               rtol=1e-15, atol=1e-15)
+
+
+def test_row_conditionals_reset_after_a_zero_probability_symbol():
+    # state 1 always emits 1 and holds all the start mass; state 2 emits 1 or
+    # 2 evenly; neither moves.  Symbol 2 first has probability zero, and the
+    # belief restarts from uniform.
+    hmm = Hmm(mu=[1.0, 0.0], emission=[[1.0, 0.5], [0.0, 0.5]],
+              transition=np.eye(2), horizon=3)
+    got = hmm.row_conditionals(np.array([[2, 1, 1], [1, 1, 2]]))
+    np.testing.assert_allclose(got[0], [[1, 0], [0.75, 0.25], [5 / 6, 1 / 6]],
+                               rtol=1e-15)
+    np.testing.assert_allclose(got[1], [[1, 0], [1, 0], [1, 0]])

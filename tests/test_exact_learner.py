@@ -135,16 +135,61 @@ def test_batched_sweep_matches_the_per_sample_sweep():
     assert any(1 < t < T for t in levels)
 
 
+def test_budget_cuts_the_sweep_where_the_per_sample_sweep_is_cut():
+    """An uncharged prefetch leaves the budget's cut-off where it was."""
+    T = 8
+    oracle = OracleHandle(make_parity_hmm(T, alpha=0.2), mode="exact", seed=3)
+    state = init_state(oracle)
+    operators = solve_operators(state, oracle)
+    probe_oracle, probe_state = copy.deepcopy((oracle, state))
+    per_sample_counterexample(probe_state, operators, probe_oracle, 100)
+    start, used = oracle.stats.total, probe_oracle.stats.total - oracle.stats.total
+    assert used > 100  # joint draws and exact queries both
+    for budget in range(start + 1, start + used, 11):  # cut in draws and in reads
+        ours, ref = copy.deepcopy((oracle, state)), copy.deepcopy((oracle, state))
+        ours[0].budget = ref[0].budget = budget
+        with pytest.raises(BudgetExceeded):
+            find_counterexample(ours[1], operators, ours[0], 100)
+        with pytest.raises(BudgetExceeded):
+            per_sample_counterexample(ref[1], operators, ref[0], 100)
+        assert ours[0].stats.as_dict() == ref[0].stats.as_dict()
+        assert list(ours[1].values) == list(ref[1].values)
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"n_override": 0}, "n_override"),
+    ({"n_override": -3}, "n_override"),
+    ({"eps": 0.0}, "eps"),
+    ({"eps": -0.05}, "eps"),
+    ({"delta": 0.0}, "delta"),
+    ({"delta": -1.0}, "delta"),
+    ({"delta": 1.0}, "delta"),
+])
+def test_learn_exact_rejects_parameters_that_cannot_work(kwargs, name):
+    oracle = OracleHandle(make_parity_hmm(4, alpha=0.2), mode="exact", seed=0)
+    with pytest.raises(ValueError, match=name):
+        learn_exact(oracle, **kwargs)
+    assert oracle.stats.total == 0
+
+
 def test_learn_exact_cost_guard(monkeypatch):
     """Counted, not timed: parity T=12, n=200, oracle seed 0."""
-    calls = [0]
-    step = Hmm.step
+    calls = {"step": 0, "conditional_prob": 0}
 
-    def counted(self, belief, o):
-        calls[0] += 1
-        return step(self, belief, o)
+    def count(name):
+        inner = getattr(Hmm, name)
 
-    monkeypatch.setattr(Hmm, "step", counted)
+        def counted(self, *args):
+            calls[name] += 1
+            return inner(self, *args)
+
+        monkeypatch.setattr(Hmm, name, counted)
+
+    count("step")
+    count("conditional_prob")
     oracle, _, _ = _learn(make_parity_hmm(12, alpha=0.2), n_override=200)
     assert oracle.stats.total == 20_499
-    assert calls[0] <= 9_500  # filtering each query from the root took 28,676
+    # filtering each query from the root took 28,676 steps, and the per-query
+    # prefix memo 4,812 steps under 2,699 conditional_prob calls
+    assert calls["step"] <= 1_000
+    assert calls["conditional_prob"] <= 300

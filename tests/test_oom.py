@@ -24,9 +24,7 @@ from condseq.oom import (
     BasisSpanError,
     OomModel,
     construct_exact_operators,
-    eval_prefix_tests,
     eval_prob,
-    evolve_coefficients,
     exact_coefficients,
     load_model,
     model_from_text,
@@ -126,26 +124,32 @@ def test_propagate_and_prefix_tests():
         test_seqs=[[(1,) * (4 - t)] for t in range(4)] + [[()]],
     )
     prefix = (2, 1)
-    got = eval_prefix_tests(model, prefix, model.test_matrices[2])
+    got = model.test_matrices[2] @ model.propagate(prefix)
     want = hmm.joint_prob(prefix + (1, 1))
     assert got[0] == pytest.approx(want, abs=1e-10)
+    *_, g = row_walk(model.operators, np.array([prefix]))
+    np.testing.assert_allclose(g[0], model.propagate(prefix), rtol=1e-12, atol=1e-15)
 
 
 def test_coefficient_evolution_identity():
-    # pushing coefficients through an operator and renormalizing by the step
-    # probability lands on the extended history's own coefficients
+    # a history's propagated coefficients are its own coefficients scaled by
+    # its probability, so pushing them through an operator and dividing by the
+    # step probability lands on the extended history's coefficients
     hmm = make_parity_hmm(4, subset={1, 2}, alpha=0.2)
     bases = parity_class_bases(4, subset={1, 2})
     model = construct_exact_operators(hmm, bases)
     hist = (2, 1)
     beta = exact_coefficients(hmm, bases[2], hist)
-    for o in (1, 2):
+    *_, before, after = row_walk(model.operators,
+                                 np.array([hist + (o,) for o in (1, 2)]))
+    for o, g_before, g_after in zip((1, 2), before, after):
+        np.testing.assert_allclose(g_before / hmm.joint_prob(hist), beta, atol=1e-8)
         p = hmm.next_symbol_probs(hist)[o - 1]
-        evolved = evolve_coefficients(model, 2, beta, o, p)
+        evolved = g_after / hmm.joint_prob(hist) / p
         expected = exact_coefficients(hmm, bases[3], hist + (o,))
         np.testing.assert_allclose(evolved, expected, atol=1e-8)
-    with pytest.raises(ZeroDivisionError):
-        evolve_coefficients(model, 2, beta, 1, 0.0)
+        np.testing.assert_allclose(g_after, model.propagate(hist + (o,)),
+                                   rtol=1e-12, atol=1e-15)
 
 
 def test_to_distribution_flavors_reproduce_exact_model():
@@ -312,7 +316,7 @@ def test_symbols_outside_the_alphabet_raise(monkeypatch, budget):
         with pytest.raises(ValueError, match=message):
             eval_prob(model, (bad, 1, 2, 1))
         with pytest.raises(ValueError, match=message):
-            evolve_coefficients(model, 1, np.ones(len(model.bases[1])), bad, 0.5)
+            model.propagate((1, bad))
         with pytest.raises(ValueError, match=message):
             list(row_walk(model.operators, np.array([[1, bad]])))
         for flavor in ("raw", "anchored"):

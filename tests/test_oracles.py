@@ -1,7 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from condseq.distributions import TableDist
+from condseq.distributions import Hmm, TableDist
 from condseq.estimation import CondEstimator
 from condseq.generators import make_parity_hmm
 from condseq.oracles import (
@@ -10,7 +14,8 @@ from condseq.oracles import (
     WrongOracleMode,
 )
 
-from _reference import full_hmm_draws, full_table_draws
+from _reference import (full_hmm_draws, full_table_draws,
+                        random_hmm_with_zero_symbols)
 
 TABLE = TableDist(np.array([0.1, 0.2, 0.3, 0.4]), n_symbols=2, horizon=2)
 
@@ -116,3 +121,53 @@ def test_stats_as_dict_round_trip():
     assert d["total"] == 1
     assert d["exact_queries"] == 1
     assert d["by_history_length"] == {0: 1}
+
+
+@given(st.data())
+def test_prefetched_answers_match_conditional_prob(data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 10_000)))
+    hmm = random_hmm_with_zero_symbols(rng)
+    O, T = hmm.n_symbols, hmm.horizon
+    t = data.draw(st.integers(0, T))
+    word = st.integers(1, O)
+    prefixes = data.draw(st.lists(st.lists(word, min_size=t, max_size=t).map(tuple),
+                                  max_size=6))
+    tests = data.draw(st.lists(st.lists(word, max_size=T - t).map(tuple),
+                               max_size=4))
+    keys = [x + lam for x in prefixes for lam in tests]
+    want = [hmm.conditional_prob((), key) for key in keys]
+    oracle = OracleHandle(hmm, mode="exact")
+    oracle.prefetch(prefixes, tests)
+    assert oracle.stats.total == 0
+    with mock.patch.object(Hmm, "conditional_prob",
+                           side_effect=AssertionError("not prefetched")):
+        got = [oracle.exact_query((), key) for key in keys]
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=1e-15)
+    assert oracle.stats.exact_queries == len(keys)
+
+
+def test_prefetch_is_uncharged_and_holds_only_the_latest_batch():
+    hmm = make_parity_hmm(5, alpha=0.3)
+    want = hmm.conditional_prob((), (2, 1))
+    oracle = OracleHandle(hmm, mode="exact")
+    # the second key is longer than the horizon and is left out of the batch
+    oracle.prefetch([(1, 2)], [(1,), (2, 2, 1, 1)])
+    oracle.prefetch([(2,)], [(1,)])
+    assert oracle.stats.total == 0
+    with mock.patch.object(Hmm, "conditional_prob", return_value=-1.0):
+        assert oracle.exact_query((), (2, 1)) == pytest.approx(want, rel=1e-15)
+        assert oracle.exact_query((), (1, 2, 1)) == -1.0  # the older batch is gone
+        # a batch holds joint probabilities: a query with a history is simulated
+        assert oracle.exact_query((2,), (2, 1)) == -1.0
+    with pytest.raises(ValueError):
+        oracle.exact_query((), (1, 2, 2, 2, 1, 1))
+    assert oracle.stats.total == 3
+    oracle.budget = 3  # a held key is charged like any other
+    with pytest.raises(BudgetExceeded):
+        oracle.exact_query((), (2, 1))
+    # a table has no row walk: nothing is prefetched and queries are answered
+    table = OracleHandle(TABLE, mode="exact")
+    table.prefetch([(1,)], [(2,)])
+    assert table.exact_query((), (1, 2)) == pytest.approx(0.2)
+    with pytest.raises(WrongOracleMode):
+        OracleHandle(TABLE, mode="sampling").prefetch([()], [()])
