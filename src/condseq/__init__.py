@@ -20,14 +20,14 @@ _EXPORTS = {name: module for module, names in {
                     "elliptical_potential_bound find_approx_basis min_capped_ridge",
     "bench": "ExperimentConfig ExperimentReport build_instance run_experiment",
     "distributions": "EnumerationCapError Hmm TableDist ZeroProbabilityHistory "
-                     "cond_matrix enumerate_joint load_hmm rank_of save_hmm",
+                     "enumerate_joint load_hmm rank_of save_hmm",
     "estimation": "CondEstimator",
     "exact_learner": "LearnerInvariantError learn_exact",
     "generators": "greedy_spanning_bases make_full_rank_hmm make_overcomplete_hmm "
                   "make_parity_hmm make_random_table one_step_bases "
                   "parity_class_bases perturb_conditionals",
     "metrics": "FidelityReport expected_span_residual fidelity_for_bases "
-               "irregular_mass robust_sigma tv_conditional_bound tv_exact",
+               "irregular_mass tv_conditional_bound tv_exact",
     "oom": "BasisSpanError OomModel construct_exact_operators eval_prob "
            "load_model save_model to_distribution",
     "oracles": "BudgetExceeded OracleHandle OracleStats WrongOracleMode",

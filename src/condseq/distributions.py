@@ -43,6 +43,18 @@ their joint probabilities, by running the kernel forward from ``mu``) or for
 an explicit list of histories.  Tables and learned-model wrappers fill the
 same table entry by entry through ``conditional_prob``.
 
+Beside that layer, an HMM's exact operators, coefficients and rank enumerate
+no future at all.  Every future conditional of a belief ``b`` is ``M_L b``,
+and the row space of ``M_L`` is the length-``L`` observable subspace, of at
+most ``S`` dimensions.  :func:`_observable_bases` gives orthonormal bases
+``Q_L`` of it; ``Q_Lᵀ b`` stands for ``M_L b`` in
+:func:`condseq.oom.construct_exact_operators` and
+:func:`condseq.oom.exact_coefficients`, and :func:`rank_of` ranks
+``Q_Lᵀ`` times the reachable forward vectors.  These work at any horizon.
+``rank_of`` counts positive-probability histories only, for every type, so
+an HMM and the table of its joint probabilities have the same rank; the
+uniform reset of a zero-probability HMM history adds no direction.
+
 Single sequences go through one memoised prefix walk, ``Hmm._walk``, under
 ``forward_filter``, ``joint_prob``, ``conditional_prob``,
 ``next_symbol_probs`` and the listed-history path of :func:`future_table`.
@@ -71,6 +83,12 @@ ENUM_CAP = 2**20
 
 _COL_ATOL = 1e-12  # stochasticity tolerance for HMM parameter columns
 _TABLE_ATOL = 1e-9  # total-mass tolerance for explicit tables
+
+# Relative singular-value cutoff of the orthonormal subspace bases behind an
+# HMM's exact operators and rank (observable subspaces, reachable forward
+# vectors): a direction counts when its singular value exceeds this fraction
+# of the largest.  Rounding leaves about 1e-16 on directions that are not there.
+_SUBSPACE_RTOL = 1e-12
 
 # Byte budget of an HMM's prefix memo.  Each memoised prefix costs its belief
 # (8 bytes per state) plus about _NODE_BYTES of Python objects (tuple, array
@@ -545,31 +563,6 @@ def _tree_probs(hmm: Hmm, beliefs: np.ndarray, length: int,
     return probs, beliefs
 
 
-def cond_matrix(dist, t: int, future_scheme: str = "exact") -> np.ndarray:
-    """Matrix of conditional future probabilities at split ``t``.
-
-    Columns are indexed by length-``t`` histories, rows by futures — either all
-    futures of length exactly ``T - t`` (``future_scheme="exact"``) or all
-    futures of length 1 through ``T - t`` stacked shortest-first
-    (``future_scheme="upto"``).  Columns for zero-probability histories follow
-    the distribution's conditioning convention (HMMs: uniform reset; tables:
-    the column is dropped).
-    """
-    if future_scheme not in ("exact", "upto"):
-        raise ValueError("future_scheme must be 'exact' or 'upto'")
-    O, T = dist.n_symbols, dist.horizon
-    if not 0 <= t <= T:
-        raise ValueError("split must be between 0 and the horizon")
-    _check_enum(O, T)
-    lengths = [T - t] if future_scheme == "exact" else list(range(1, T - t + 1))
-    blocks = [future_table(dist, ell, t=t)[1].T for ell in lengths]
-    # the empty block keeps the column count when there is no future length
-    mat = np.vstack([np.empty((0, seq_count(O, t))), *blocks])
-    if isinstance(dist, TableDist):
-        mat = mat[:, future_table(dist, 0, t=t)[0] > 0.0]
-    return mat
-
-
 def numerical_rank(mat: np.ndarray, tol: float) -> int:
     """Number of singular values above ``tol`` times the largest.
 
@@ -584,16 +577,74 @@ def numerical_rank(mat: np.ndarray, tol: float) -> int:
 
 
 def rank_of(dist, tol: float = 1e-8) -> int:
-    """Numerical rank: the max over splits of the conditional matrix rank.
+    """Numerical rank: the max over splits ``t`` of the conditional matrix rank.
 
-    Singular values below ``tol`` times the largest are treated as zero.  Uses
-    the all-future-lengths (``upto``) scheme.
+    The matrix at split ``t = 1..T-1`` holds ``Pr[f | h]`` for every
+    positive-probability length-``t`` history ``h`` and every future ``f`` of
+    each length ``1..T-t``; singular values below ``tol`` times the largest
+    count as zero.  Zero-probability histories never count, whatever the
+    type's conditioning convention.
+
+    An :class:`Hmm` enumerates nothing, so any horizon works: the matrix
+    factors as the observable map ``M_{T-t}`` times the reachable forward
+    vectors, and its rank is that of ``Q_{T-t}ᵀ R_t``.  ``Q_{T-t}`` comes from
+    :func:`_observable_bases`, and ``R_t`` is an orthonormal basis of the span
+    of the forward vectors ``K_{h_t}···K_{h_1} μ`` of all length-``t``
+    histories, which are zero exactly for the zero-probability ones.  ``tol``
+    acts on the singular values of that small matrix.  Other distributions
+    enumerate the futures of every length-``t`` history.
     """
     T = dist.horizon
     if T == 1:
         return 1
-    return max(numerical_rank(cond_matrix(dist, t, future_scheme="upto"), tol)
-               for t in range(1, T))
+    if not isinstance(dist, Hmm):
+        return max(numerical_rank(np.hstack([future_table(dist, ell, t=t)[1]
+                                             for ell in range(1, T - t + 1)]), tol)
+                   for t in range(1, T))
+    spans, kernels = _observable_bases(dist, T - 1), _kernels(dist)
+    reach, rank = _orth(dist.mu[:, None]), 0
+    for t in range(1, T):
+        reach = _orth(np.hstack(kernels @ reach))
+        rank = max(rank, numerical_rank(spans[T - t].T @ reach, tol))
+    return rank
+
+
+def _kernels(hmm: Hmm) -> np.ndarray:
+    """``(O, S, S)``: ``K_o = transition · diag(emission[o])`` for every symbol.
+
+    ``K_o b`` is the unnormalised belief after observing ``o`` from ``b``.
+    """
+    return hmm.transition[None, :, :] * hmm.emission[:, None, :]
+
+
+def _observable_bases(hmm: Hmm, depth: int) -> list[np.ndarray]:
+    """Orthonormal bases ``Q_L`` of the observable subspaces, ``L = 0..depth``.
+
+    With the kernels ``K_o`` of :func:`_kernels`, the length-``L`` future
+    probabilities of a belief ``b`` are ``M_L b``, row ``f`` of ``M_L`` being
+    ``1ᵀ K_{f_L}···K_{f_1}``.  Its row space ``W_L`` follows
+    ``W_0 = span{1ᵀ}`` and ``W_L = span{w K_o : w ∈ W_{L-1}, o}``, so it has
+    at most ``S`` dimensions, and ``Σ_o 1ᵀ K_o = 1ᵀ`` nests it:
+    ``W_{L-1} ⊆ W_L``.  ``Q_L`` is ``(S, d_L)`` with ``d_L = dim W_L``, and
+    ``M_L Q_L`` has full column rank, so ``Q_Lᵀ b`` determines ``M_L b``:
+    linear systems in future coordinates keep their solution sets in ``Q``
+    coordinates.
+    """
+    adjoints = _kernels(hmm).transpose(0, 2, 1)
+    spans = [np.full((hmm.n_states, 1), 1.0 / math.sqrt(hmm.n_states))]
+    for _ in range(depth):
+        spans.append(_orth(np.hstack(adjoints @ spans[-1])))
+    return spans
+
+
+def _orth(mat: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the column space of ``mat``.
+
+    Keeps the left singular vectors whose singular values exceed
+    ``_SUBSPACE_RTOL`` times the largest.
+    """
+    u, s, _ = np.linalg.svd(mat, full_matrices=False)
+    return u[:, s > _SUBSPACE_RTOL * s[0]]
 
 
 # ---------------------------------------------------------------------------

@@ -202,11 +202,6 @@ def sigma_matrix(dist, members: list[Seq]) -> np.ndarray:
     return Y @ Y.T
 
 
-def robust_sigma(dist, bases: list[list[Seq]]) -> float:
-    """Min over levels of σ₊ of the basis covariance ``Σ_{B_t}``."""
-    return min(robust_sigma_per_level(dist, bases))
-
-
 def robust_sigma_per_level(dist, bases: list[list[Seq]]) -> list[float]:
     out = []
     for members in bases:

@@ -44,7 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import _fmt, _TextLines, future_table
+from .distributions import (Hmm, _fmt, _kernels, _observable_bases, _TextLines,
+                            future_table)
 from .sequences import Seq, format_seq, parse_seq
 
 RESIDUAL_TOL = 1e-9
@@ -178,11 +179,17 @@ def exact_coefficients(dist, members: list[Seq], history: Seq) -> np.ndarray:
 
     Solves ``Pr[F | members] β = Pr[F | history]`` over exact-length futures in
     the least-squares sense; with a spanning basis the residual is zero and
-    ``β`` sums to 1.
+    ``β`` sums to 1.  A table enumerates the futures.  An
+    :class:`~condseq.distributions.Hmm` solves the same system in the ``Q``
+    coordinates of :func:`construct_exact_operators`, where ``PINV_CUTOFF``
+    then acts.  That keeps the solution set of a solvable system; when the
+    members do not span the history (say a zero-probability history, whose
+    belief is the uniform reset) the least-squares ``β`` depends on the
+    coordinates and differs from the enumerated one.
     """
     length = dist.horizon - len(history)
-    _, table = future_table(dist, length, histories=[*members, history])
-    beta, *_ = np.linalg.lstsq(table[:-1].T, table[-1], rcond=PINV_CUTOFF)
+    table = _coordinates(dist, [*members, history], length, _spans(dist, length))
+    beta, *_ = np.linalg.lstsq(table[:, :-1], table[:, -1], rcond=PINV_CUTOFF)
     return beta
 
 
@@ -195,22 +202,34 @@ def construct_exact_operators(dist, bases: list[list[Seq]],
 
         Pr[F_{t+1} | B_{t+1}] · A_{o,t}[:, b] = Pr[o · F_{t+1} | b],
 
-    with futures enumerated at exact length.  A residual above ``residual_tol``
-    means the level-``t+1`` basis does not span the needed conditionals, which
-    is reported rather than papered over.  One-step matrices (and test
-    matrices, when ``test_seqs`` is given) are stored alongside.
+    ``F_{t+1}`` ranging over the futures of length ``T - t - 1``.  A table
+    enumerates those futures.  An :class:`~condseq.distributions.Hmm`
+    enumerates nothing: with the basis beliefs ``Bel_t`` of
+    :meth:`~condseq.distributions.Hmm.forward_filter` (uniform reset included),
+    ``K_o = transition · diag(emission[o])`` and the orthonormal basis ``Q``
+    of the length-``(T - t - 1)`` observable subspace, it solves
+
+        (Qᵀ Bel_{t+1}) · A_{o,t} = Qᵀ K_o Bel_t,
+
+    which has the same solutions, so any horizon works.  ``residual_tol`` and
+    the ``PINV_CUTOFF`` of the solve then act on these ``Q`` coordinates, so
+    a residual differs from its enumerated value: a parity T=3 level-1 basis
+    missing one parity class leaves 0.187 here against 0.176 over the
+    enumerated futures.  A residual above ``residual_tol`` means the
+    level-``t+1`` basis does not span the needed conditionals, which is
+    reported rather than papered over.  One-step matrices (and test matrices,
+    when ``test_seqs`` is given) are stored alongside.
     """
     O, T = dist.n_symbols, dist.horizon
+    spans = _spans(dist, T - 1)
     operators: list[list[np.ndarray]] = []
     step_matrices: list[np.ndarray] = []
     for t in range(T):
-        p_next = future_table(dist, T - t - 1, histories=bases[t + 1])[1].T
-        blocks = future_table(dist, T - t, histories=bases[t])[1].reshape(
-            len(bases[t]), O, -1)
-        step_matrices.append(blocks.sum(axis=2).T)
+        p_next = _coordinates(dist, bases[t + 1], T - t - 1, spans)
+        steps, blocks = _continuations(dist, bases[t], T - t - 1, spans)
+        step_matrices.append(steps)
         per_symbol: list[np.ndarray] = []
-        for o in range(1, O + 1):
-            rhs = blocks[:, o - 1, :].T
+        for o, rhs in enumerate(blocks, start=1):
             sol, *_ = np.linalg.lstsq(p_next, rhs, rcond=PINV_CUTOFF)
             residual = np.max(np.abs(p_next @ sol - rhs)) if rhs.size else 0.0
             if residual > residual_tol:
@@ -240,6 +259,47 @@ def construct_exact_operators(dist, bases: list[list[Seq]],
         test_matrices=test_matrices,
         step_matrices=step_matrices,
     )
+
+
+def _spans(dist, depth: int) -> list[np.ndarray] | None:
+    """An HMM's observable-subspace bases ``Q_0..Q_depth``; ``None`` otherwise."""
+    return _observable_bases(dist, depth) if isinstance(dist, Hmm) else None
+
+
+def _beliefs(hmm: Hmm, members: list[Seq]) -> np.ndarray:
+    """``(S, n)`` filtered beliefs of the members, one column each."""
+    return np.array([hmm.forward_filter(b).probs for b in members]).reshape(
+        len(members), hmm.n_states).T
+
+
+def _coordinates(dist, members: list[Seq], length: int,
+                 spans: list[np.ndarray] | None) -> np.ndarray:
+    """``(d, n)``: column ``i`` holds the coordinates of ``Pr[F | members[i]]``.
+
+    ``F`` ranges over the futures of length ``length``: an HMM's coordinates
+    are ``Q_lengthᵀ`` times the member's belief, a table's the enumerated
+    conditionals themselves.
+    """
+    if spans is not None:
+        return spans[length].T @ _beliefs(dist, members)
+    return future_table(dist, length, histories=members)[1].T
+
+
+def _continuations(dist, members: list[Seq], length: int,
+                   spans: list[np.ndarray] | None) -> tuple[np.ndarray, np.ndarray]:
+    """``(steps, blocks)``: one-symbol continuations of the members.
+
+    ``steps`` is ``(O, n)``, ``steps[o - 1, i] = Pr[o | members[i]]``;
+    ``blocks[o - 1]`` is ``(d, n)``, the coordinates (as in
+    :func:`_coordinates`) of ``Pr[o · F | members[i]]`` over the futures ``F``
+    of length ``length``.  An HMM's are ``Q_lengthᵀ K_o`` times the belief.
+    """
+    if spans is not None:
+        beliefs = _beliefs(dist, members)
+        return dist.emission @ beliefs, spans[length].T @ _kernels(dist) @ beliefs
+    table = future_table(dist, length + 1, histories=members)[1]
+    blocks = table.reshape(len(members), dist.n_symbols, -1).transpose(1, 2, 0)
+    return blocks.sum(axis=1), blocks
 
 
 # ---------------------------------------------------------------------------

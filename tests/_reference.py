@@ -13,8 +13,9 @@ import math
 
 import numpy as np
 
-from condseq.distributions import Hmm, TableDist, future_table
+from condseq.distributions import Hmm, TableDist, future_table, numerical_rank
 from condseq.exact_learner import EQ_TOL
+from condseq.oom import PINV_CUTOFF
 from condseq.sequences import all_seqs, index_to_seq
 
 
@@ -281,3 +282,52 @@ def sampled_bound_loop(p, q, n_samples: int, rng: np.random.Generator) -> float:
         q_next = np.array([q.next_symbol_probs(h) for h in prefixes])
         totals += np.abs(q_next - p_next)
     return (T + 1) * O * float((totals / n_samples).max()) / 2.0
+
+
+def enumerated_exact_operators(dist, bases):
+    """Exact operators and one-step matrices over enumerated futures.
+
+    Every basis history's futures are expanded at exact length, and each
+    level solves ``Pr[F_{t+1} | B_{t+1}] A = Pr[o · F_{t+1} | B_t]`` for the
+    min-norm ``A``.  Returns ``(operators, step_matrices)``.
+    """
+    O, T = dist.n_symbols, dist.horizon
+    operators, step_matrices = [], []
+    for t in range(T):
+        p_next = future_table(dist, T - t - 1, histories=bases[t + 1])[1].T
+        blocks = future_table(dist, T - t, histories=bases[t])[1].reshape(
+            len(bases[t]), O, -1)
+        step_matrices.append(blocks.sum(axis=2).T)
+        per_symbol = []
+        for o in range(O):
+            rhs = blocks[:, o, :].T
+            sol, *_ = np.linalg.lstsq(p_next, rhs, rcond=PINV_CUTOFF)
+            per_symbol.append(sol)
+        operators.append(per_symbol)
+    return operators, step_matrices
+
+
+def enumerated_coefficients(dist, members, history) -> np.ndarray:
+    """Min-norm ``β`` with ``Pr[F | members] β = Pr[F | history]``, futures enumerated."""
+    length = dist.horizon - len(history)
+    _, table = future_table(dist, length, histories=[*members, history])
+    beta, *_ = np.linalg.lstsq(table[:-1].T, table[-1], rcond=PINV_CUTOFF)
+    return beta
+
+
+def enumerated_rank(dist, tol: float = 1e-8) -> int:
+    """``rank_of`` from enumerated conditional matrices.
+
+    At each split ``t`` the rows are the positive-probability length-``t``
+    histories and the columns every future of each length ``1..T - t``.
+    """
+    T = dist.horizon
+    if T == 1:
+        return 1
+    ranks = []
+    for t in range(1, T):
+        joint, _ = future_table(dist, 0, t=t)
+        mat = np.hstack([future_table(dist, ell, t=t)[1]
+                         for ell in range(1, T - t + 1)])
+        ranks.append(numerical_rank(mat[joint > 0.0], tol))
+    return max(ranks)

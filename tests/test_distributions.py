@@ -13,7 +13,6 @@ from condseq.distributions import (
     Hmm,
     TableDist,
     ZeroProbabilityHistory,
-    cond_matrix,
     enumerate_joint,
     future_table,
     hmm_from_text,
@@ -135,17 +134,28 @@ def test_table_validation():
         TableDist(np.array([0.3, 0.3, 0.3, 0.3]), n_symbols=2, horizon=2)
 
 
-def test_cond_matrix_hand_values():
-    # columns are histories (1,) and (2,); rows are futures (1,) and (2,)
-    mat = cond_matrix(HAND_TABLE, 1)
-    np.testing.assert_allclose(mat, [[1 / 3, 3 / 7], [2 / 3, 4 / 7]])
-    np.testing.assert_allclose(mat.sum(axis=0), [1.0, 1.0])
+def test_future_table_hand_values():
+    # rows are histories (1,) and (2,); columns are futures (1,) and (2,)
+    _, table = future_table(HAND_TABLE, 1, t=1)
+    np.testing.assert_allclose(table, [[1 / 3, 2 / 3], [3 / 7, 4 / 7]])
+    np.testing.assert_allclose(table.sum(axis=1), [1.0, 1.0])
 
 
 def test_rank_of_product_versus_coupled_table():
     outer = np.outer([0.3, 0.7], [0.4, 0.6]).reshape(-1)
     assert rank_of(TableDist(outer, n_symbols=2, horizon=2)) == 1
     assert rank_of(HAND_TABLE) == 2
+
+
+def test_rank_of_counts_positive_probability_histories_only():
+    # six histories of lengths 1 and 2 have probability 0; the uniform reset
+    # of their beliefs must not add a direction the table does not have
+    hmm = random_hmm_with_zero_symbols(np.random.default_rng(282))
+    table = TableDist(enumerate_joint(hmm), n_symbols=3, horizon=3)
+    assert (hmm.n_states, hmm.n_symbols, hmm.horizon) == (3, 3, 3)
+    assert sum(hmm.joint_prob(h) == 0.0
+               for t in (1, 2) for h in all_seqs(3, t)) == 6
+    assert rank_of(hmm) == rank_of(table) == 2
 
 
 def test_enumeration_cap():

@@ -6,12 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from condseq import oom
-from condseq.distributions import enumerate_joint
+from condseq import distributions, oom
+from condseq.distributions import (
+    Hmm,
+    TableDist,
+    enumerate_joint,
+    future_table,
+    rank_of,
+)
 from condseq.generators import (
     greedy_spanning_bases,
     make_parity_hmm,
     parity_class_bases,
+    parity_joint_prob,
 )
 from condseq.metrics import (
     conditional_gap_exact,
@@ -40,7 +47,11 @@ from _reference import (
     DictRawPredictor,
     brute_force_joint,
     conditional_gap_loop,
+    enumerated_coefficients,
+    enumerated_exact_operators,
+    enumerated_rank,
     random_hmm,
+    random_hmm_with_zero_symbols,
     sampled_bound_loop,
 )
 
@@ -86,6 +97,82 @@ def test_non_spanning_basis_is_reported():
     bases[1] = bases[1][:1]  # one member cannot cover both parity classes
     with pytest.raises(BasisSpanError):
         construct_exact_operators(hmm, bases)
+
+
+def _random_instance(seed: int, zero_symbols: bool) -> Hmm:
+    """A random HMM small enough to enumerate, up to T=8 for binary alphabets."""
+    rng = np.random.default_rng(seed)
+    if zero_symbols:
+        return random_hmm_with_zero_symbols(rng)
+    n_symbols = int(rng.integers(2, 4))
+    horizon = int(rng.integers(1, 9 if n_symbols == 2 else 6))
+    return random_hmm(rng, int(rng.integers(1, 5)), n_symbols, horizon)
+
+
+def _solve_atol(mat: np.ndarray, solution: np.ndarray) -> float:
+    """How far two stable least-squares solutions of one system may differ.
+
+    1e-10, widened for an ill-conditioned ``mat`` by its forward-error bound
+    ``κ(mat) · eps · |solution|`` with a margin of about 450.
+    """
+    scale = max(float(np.max(np.abs(solution))), 1.0)
+    return 1e-10 + 1e-13 * float(np.linalg.cond(mat)) * scale
+
+
+@given(st.integers(0, 2**31 - 1), st.booleans())
+def test_belief_space_construction_matches_enumeration(seed, zero_symbols):
+    hmm = _random_instance(seed, zero_symbols)
+    O, T = hmm.n_symbols, hmm.horizon
+    bases = greedy_spanning_bases(hmm)
+    model = construct_exact_operators(hmm, bases)
+    operators, step_matrices = enumerated_exact_operators(hmm, bases)
+    for t in range(T):
+        p_next = future_table(hmm, T - t - 1, histories=bases[t + 1])[1].T
+        for got, want in zip(model.operators[t], operators[t]):
+            np.testing.assert_allclose(got, want, rtol=0,
+                                       atol=_solve_atol(p_next, want))
+            # both give the same futures, however the basis is conditioned
+            np.testing.assert_allclose(p_next @ got, p_next @ want, rtol=0,
+                                       atol=1e-10)
+        np.testing.assert_allclose(model.step_matrices[t], step_matrices[t],
+                                   rtol=0, atol=1e-10)
+    for t in range(T + 1):
+        members = future_table(hmm, T - t, histories=bases[t])[1].T
+        for history in all_seqs(O, t):
+            if hmm.joint_prob(history) > 0.0:
+                want = enumerated_coefficients(hmm, bases[t], history)
+                np.testing.assert_allclose(
+                    exact_coefficients(hmm, bases[t], history), want, rtol=0,
+                    atol=_solve_atol(members, want))
+    table = TableDist(enumerate_joint(hmm), n_symbols=O, horizon=T)
+    assert rank_of(hmm) == enumerated_rank(hmm) == rank_of(table)
+
+
+def test_belief_space_paths_enumerate_nothing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an HMM path enumerated futures")
+
+    monkeypatch.setattr(Hmm, "filter_batch", refuse)
+    for module in (distributions, oom):
+        monkeypatch.setattr(module, "future_table", refuse)
+    hmm = make_parity_hmm(16, alpha=0.2)
+    model = construct_exact_operators(hmm, parity_class_bases(16))
+    assert model.basis_sizes() == [1] + [2] * 15 + [1]
+    assert rank_of(make_parity_hmm(12, alpha=0.2)) == 2
+
+
+@pytest.mark.parametrize("horizon", [32, 64])
+def test_exact_operators_and_rank_past_the_enumeration_cap(horizon):
+    # the check the exact-parity20 benchmark applies to a learned model
+    alpha, subset = 0.2, set(range(1, horizon))
+    hmm = make_parity_hmm(horizon, alpha=alpha)
+    assert rank_of(hmm) == 2
+    learned = to_distribution(
+        construct_exact_operators(hmm, parity_class_bases(horizon)))
+    rng = np.random.default_rng(horizon)
+    for row in rng.integers(1, 3, size=(200, horizon)).tolist():
+        true = parity_joint_prob(tuple(row), subset, alpha)
+        assert abs(learned.joint_prob(row) - true) <= 1e-9 * true
 
 
 def test_exact_coefficients_sum_to_one_and_interpolate():
