@@ -55,18 +55,16 @@ most ``S`` dimensions.  :func:`_observable_bases` gives orthonormal bases
 an HMM and the table of its joint probabilities have the same rank; the
 uniform reset of a zero-probability HMM history adds no direction.
 
-Single sequences go through one memoised prefix walk, ``Hmm._walk``, under
+Single sequences go through one prefix walk, ``Hmm._walk``, under
 ``forward_filter``, ``joint_prob``, ``conditional_prob``,
 ``next_symbol_probs`` and the listed-history path of :func:`future_table`.
-It keeps the belief after every prefix up to a fixed depth, and the whole
-path of the previous call, so queries that share long prefixes (an exact
-oracle asks ``Pr[x·λ]`` for many tests ``λ`` of one prefix ``x``) filter each
-shared prefix once.  The depth is the deepest whose full prefix tree fits in
-``_MEMO_BYTES``, counting each belief with its bookkeeping, so the memo stays
-bounded at any horizon.  Every belief is still one :meth:`Hmm.step` from its
+It walks from the root, keeping only the path of the previous call, so a
+query that shares a prefix with the one before it (an exact oracle asks
+``Pr[x·λ]`` for many tests ``λ`` of one prefix ``x``) filters only the
+symbols past that prefix.  Every belief is one :meth:`Hmm.step` from its
 parent's, so results are bit-identical to filtering from the root.  An HMM's
-parameters are read-only copies, and its memoised beliefs read-only arrays:
-an in-place edit raises instead of leaving stale beliefs behind.
+parameters are read-only copies, and the beliefs on the kept path read-only
+arrays: an in-place edit raises instead of leaving a stale belief behind.
 """
 
 from __future__ import annotations
@@ -89,12 +87,6 @@ _TABLE_ATOL = 1e-9  # total-mass tolerance for explicit tables
 # vectors): a direction counts when its singular value exceeds this fraction
 # of the largest.  Rounding leaves about 1e-16 on directions that are not there.
 _SUBSPACE_RTOL = 1e-12
-
-# Byte budget of an HMM's prefix memo.  Each memoised prefix costs its belief
-# (8 bytes per state) plus about _NODE_BYTES of Python objects (tuple, array
-# header, dict slot, floats; measured on CPython 3.11).
-_MEMO_BYTES = 2**21
-_NODE_BYTES = 320
 
 
 class EnumerationCapError(RuntimeError):
@@ -148,8 +140,6 @@ class Hmm:
     emission: np.ndarray
     transition: np.ndarray
     horizon: int
-    _memo: dict = field(init=False, repr=False, compare=False)
-    _memo_depth: int = field(init=False, repr=False, compare=False)
     _last: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -175,10 +165,7 @@ class Hmm:
             colsums = arr.sum(axis=0)
             if np.max(np.abs(colsums - 1.0)) > _COL_ATOL:
                 raise ValueError(f"{name} columns must sum to 1")
-        root = (self.mu, 1.0, 0.0, 1.0)
-        self._memo = {0: root}
-        self._memo_depth = _memo_depth(S, self.n_symbols, self.horizon)
-        self._last = ((), [root])
+        self._last = ((), [(self.mu, 1.0, 0.0, 1.0)])
 
     @property
     def n_states(self) -> int:
@@ -208,9 +195,8 @@ class Hmm:
         ``p`` is the probability of the prefix's last symbol given the rest,
         ``prob`` the product of the ``p`` from the root and ``log_prob`` the
         sum of their logs (``-inf`` from a zero ``p`` on).  A prefix shared
-        with the previous call's sequence is read off that call's path; one
-        no deeper than ``_memo_depth`` off the memo, keyed ``key·O + o`` from
-        the root's 0; any other takes one :meth:`step` from its parent.
+        with the previous call's sequence is read off that call's path; every
+        other takes one :meth:`step` from its parent.
         """
         seq = tuple(seq)
         last, path = self._last
@@ -218,34 +204,23 @@ class Hmm:
         while k < n and seq[k] == last[k]:
             k += 1
         path = path[:k + 1]
-        O, depth = self.n_symbols, self._memo_depth
-        key = 0
-        for o in seq[:min(k, depth)]:
-            key = key * O + o
-        for j in range(k, len(seq)):
-            o = seq[j]
-            if not 0 < o <= O:  # would alias another prefix's memo key
+        O = self.n_symbols
+        for o in seq[k:]:
+            if not 0 < o <= O:  # emission[o - 1] would read another symbol
                 raise ValueError(f"symbol {o} outside 1..{O}")
-            node = None
-            if j < depth:
-                key = key * O + o
-                node = self._memo.get(key)
-            if node is None:
-                belief, _, log_prob, prob = path[-1]
-                belief, p = self.step(belief, o)
-                belief.flags.writeable = False
-                node = (belief, p, log_prob + math.log(p) if p > 0.0 else -math.inf,
-                        prob * p)
-                if j < depth:
-                    self._memo[key] = node
-            path.append(node)
+            belief, _, log_prob, prob = path[-1]
+            belief, p = self.step(belief, o)
+            belief.flags.writeable = False
+            log_prob = log_prob + math.log(p) if p > 0.0 else -math.inf
+            path.append((belief, p, log_prob, prob * p))
         self._last = (seq, path)
         return path
 
     def forward_filter(self, history: Seq) -> BeliefState:
         """Filter a history, returning the belief state and its log probability.
 
-        The belief is a read-only array shared with the prefix memo.
+        The belief is a read-only array, shared with the path the prefix walk
+        keeps for the next call.
         """
         belief, _, log_prob, _ = self._walk(history)[-1]
         return BeliefState(belief, log_prob)
@@ -396,6 +371,8 @@ class TableDist:
     def _prefix_slice(self, prefix: Seq) -> np.ndarray:
         view = self._tensor
         for o in prefix:
+            if not 0 < o <= self.n_symbols:  # o - 1 would index another symbol
+                raise ValueError(f"symbol {o} outside 1..{self.n_symbols}")
             view = view[o - 1]
         return view
 
@@ -453,19 +430,6 @@ def _read_only(values) -> np.ndarray:
     return arr
 
 
-def _memo_depth(n_states: int, n_symbols: int, horizon: int) -> int:
-    """Deepest prefix length whose full prefix tree fits in ``_MEMO_BYTES``."""
-    node_bytes = 8 * n_states + _NODE_BYTES
-    depth, nodes, level = 0, 1, 1
-    while depth < horizon:
-        level *= n_symbols
-        if (nodes + level) * node_bytes > _MEMO_BYTES:
-            break
-        nodes += level
-        depth += 1
-    return depth
-
-
 def _check_steps(length: int, steps: int | None) -> int:
     """Validated number of future symbols to simulate (all by default)."""
     if steps is None:
@@ -506,7 +470,7 @@ def future_table(dist, length: int, histories: list[Seq] | None = None,
     Histories are all of length ``t`` in lexicographic order, or the given
     list; futures are all of length ``length``, in lexicographic order.  An
     :class:`Hmm` runs :meth:`Hmm.filter_batch` forward from ``mu`` for all
-    length-``t`` histories; a listed history is filtered by the memoised
+    length-``t`` histories; a listed history is filtered by the one-sequence
     prefix walk and its row is expanded on its own, so it does not depend on
     the rest of the list.  Zero-probability HMM histories follow the uniform
     reset.  Other distributions answer one ``conditional_prob`` per entry,
@@ -700,8 +664,8 @@ class _TextLines:
             raise self.error(f"{what} needs {count} values, got {len(words)}")
         try:
             values = [kind(v) for v in words]
-        except ValueError:
-            raise self.error(f"{what} holds a malformed value") from None
+        except ValueError as exc:
+            raise self.error(f"{what} holds a malformed value ({exc})") from None
         if any(want not in (None, got) for want, got in zip(expected or [], values)):
             raise self.error(f"{what} should read {expected}, got {values}")
         self._pos += 1

@@ -75,10 +75,6 @@ class CondEstimator:
             history += (o,)
         return out
 
-    def cond_prob(self, history: Seq, future: Seq) -> float:
-        """Multi-step estimate: product of per-step empirical conditionals."""
-        return float(np.prod(self.step_estimates(history, future)))
-
     def gated_cond_prob(self, history: Seq, future: Seq, alpha: float) -> float:
         """Multi-step estimate, zeroed when the regularity screen fails.
 

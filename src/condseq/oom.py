@@ -31,8 +31,8 @@ call the kernel once per level:
   and the exact learner's counterexample sweep.
 
 ``joint_prob``, ``conditional_prob`` and ``next_symbol_probs`` are the
-kernel's one-row case.  They read short prefixes off one level walk, kept
-within ``_TABLE_BYTES``, and take one kernel call per symbol past them.
+kernel's one-row case: they walk from the root with one kernel call and one
+operator product per symbol.
 Batched and one-row values agree to rounding, not bit for bit: a row of a
 matrix product need not round like the matching matrix-vector product.
 A symbol outside ``1..O`` raises ``ValueError`` on every path.
@@ -50,9 +50,6 @@ from .sequences import Seq, format_seq, parse_seq
 
 RESIDUAL_TOL = 1e-9
 PINV_CUTOFF = 1e-10
-
-# Byte budget of the level-walk arrays a predictor keeps for short prefixes.
-_TABLE_BYTES = 2**18
 
 
 class BasisSpanError(ValueError):
@@ -313,15 +310,14 @@ class _Predictor:
     Subclasses implement only the kernel.  :meth:`prefix_levels` and
     :meth:`row_conditionals` call it once per level on every history of the
     level; the one-row path (``joint_prob``, ``conditional_prob``,
-    ``next_symbol_probs``) reads the short prefixes off one level walk and
-    calls it on one history at a time past them.
+    ``next_symbol_probs``) calls it on one history at a time, symbol by
+    symbol from the root.
     """
 
     def __init__(self, model: OomModel):
         self.model = model
         self.n_symbols = model.n_symbols
         self.horizon = model.horizon
-        self._table: list[tuple] | None = None
 
     def _conditionals(self, t: int, coeffs: np.ndarray,
                       probs: np.ndarray) -> np.ndarray:
@@ -367,48 +363,24 @@ class _Predictor:
             probs = probs * out[np.arange(n), t, symbols[:, t] - 1]
         return out
 
-    def _walk(self, seq: Seq) -> tuple[np.ndarray | None, float, list[float]]:
-        """``(g, p, steps)`` after ``seq``: coefficients (``None`` when a
-        full-length ``seq`` ends inside the table), telescoped probability
+    def _walk(self, seq: Seq) -> tuple[np.ndarray, float, list[float]]:
+        """``(g, p, steps)`` after ``seq``: coefficients, telescoped probability
         and the conditional of each symbol of ``seq`` given the ones before it.
 
-        The first levels come from one level walk, kept on first use down to
-        the deepest level whose arrays fit in ``_TABLE_BYTES``; the rest of
-        ``seq`` takes one kernel call and one operator product per symbol.
+        Starts at the root's ``g = 1``, ``p = 1`` and takes one kernel call
+        and one operator product per symbol.
         """
         seq = tuple(seq)
         if len(seq) > self.horizon:
             raise ValueError("sequence longer than horizon")
-        if self._table is None:
-            self._table = list(self.prefix_levels(self._table_depth()))
-        table, O = self._table, self.n_symbols
-        known = min(len(seq), len(table) - 1)
-        steps, idx = [], 0
-        for t, o in enumerate(seq[:known]):
-            if not 0 < o <= O:
-                raise ValueError(f"symbol {o} outside 1..{O}")
-            steps.append(float(table[t][2][idx, o - 1]))
-            idx = idx * O + o - 1
-        coeffs, probs, _ = table[known]
-        g, p = None if coeffs is None else coeffs[idx], float(probs[idx])
-        for t in range(known, len(seq)):
-            o = seq[t]
+        g, p, steps = np.ones(1), 1.0, []
+        for t, o in enumerate(seq):
             op = self.model._operator(t, o)
             c = float(self._conditionals(t, g[None, :], np.array([p]))[0, o - 1])
             steps.append(c)
             p *= c
             g = op @ g
         return g, p, steps
-
-    def _table_depth(self) -> int:
-        """Deepest level whose level-walk arrays, with all above, fit the budget."""
-        O, sizes, used = self.n_symbols, self.model.basis_sizes(), 0
-        for t in range(self.horizon + 1):
-            # each row holds coefficients, a probability and conditionals
-            used += 8 * O**t * (sizes[t] + 1 + O)
-            if used > _TABLE_BYTES:
-                return max(t - 1, 0)
-        return self.horizon
 
     def next_symbol_probs(self, history: Seq) -> np.ndarray:
         history = tuple(history)
@@ -533,10 +505,19 @@ def model_from_text(text: str) -> OomModel:
     O = lines.line("the O line", "O", 1, int)[0]
     T = lines.line("the T line", "T", 1, int)[0]
     sizes = lines.line("the sizes line", "sizes", T + 1, int)
+
+    def sequence(text: str) -> Seq:
+        """A sequence over the file's alphabet ``1..O``."""
+        seq = parse_seq(text)
+        for o in seq:
+            if not 0 < o <= O:
+                raise ValueError(f"symbol {o} outside 1..{O}")
+        return seq
+
     bases: list[list[Seq]] = []
     for t in range(T + 1):
         lines.line(f"'basis {t}'", f"basis {t}")
-        bases.append([lines.line(f"basis {t} member", count=1, kind=parse_seq)[0]
+        bases.append([lines.line(f"basis {t} member", count=1, kind=sequence)[0]
                       for _ in range(sizes[t])])
 
     def section(kind: str, label: str, rows: int | None, cols: int) -> int:
@@ -564,7 +545,7 @@ def model_from_text(text: str) -> OomModel:
         for t in range(T + 1):
             rows = section("tests", str(t), None, sizes[t])
             test_seqs.append([lines.line(f"tests {t} future", count=1,
-                                         kind=parse_seq)[0] for _ in range(rows)])
+                                         kind=sequence)[0] for _ in range(rows)])
             test_matrices.append(lines.matrix(f"tests {t}", rows, sizes[t]))
     lines.finish()
     return OomModel(n_symbols=O, horizon=T, bases=bases, operators=operators,

@@ -2,8 +2,8 @@
 
 Sequences are tuples of integer symbols from the alphabet ``{1, ..., n_symbols}``.
 The empty tuple is the empty history/future.  Lexicographic order of sequences
-coincides with the mixed-radix index order used throughout the package, so
-``index_to_seq(i)`` enumerates ``all_seqs`` in order.  Sampled batches travel
+coincides with the mixed-radix index order used throughout the package:
+:func:`seq_to_index` numbers ``all_seqs`` in order.  Sampled batches travel
 as ``(k, L)`` int64 arrays of symbols, one sequence per row, and become tuples
 through :func:`distinct_rows` or :func:`rows_as_seqs`.
 """
@@ -41,17 +41,6 @@ def seq_to_index(seq: Sequence[int], n_symbols: int) -> int:
             raise ValueError(f"symbol {o} outside alphabet 1..{n_symbols}")
         idx = idx * n_symbols + (o - 1)
     return idx
-
-
-def index_to_seq(idx: int, n_symbols: int, length: int) -> Seq:
-    """Inverse of :func:`seq_to_index` for a given length."""
-    if not 0 <= idx < n_symbols**length:
-        raise ValueError(f"index {idx} out of range for length {length}")
-    out = []
-    for _ in range(length):
-        idx, digit = divmod(idx, n_symbols)
-        out.append(digit + 1)
-    return tuple(reversed(out))
 
 
 def distinct_rows(rows: np.ndarray, n_symbols: int) -> list[tuple[Seq, int]]:

@@ -16,7 +16,7 @@ import numpy as np
 from condseq.distributions import Hmm, TableDist, future_table, numerical_rank
 from condseq.exact_learner import EQ_TOL
 from condseq.oom import PINV_CUTOFF
-from condseq.sequences import all_seqs, index_to_seq
+from condseq.sequences import all_seqs
 
 
 def brute_force_joint(hmm: Hmm, seq) -> float:
@@ -141,6 +141,17 @@ def full_hmm_draws(hmm: Hmm, history, rng: np.random.Generator,
         norm = np.maximum(w.sum(axis=1, keepdims=True), 1e-300)
         beliefs = (w / norm) @ hmm.transition.T
     return [tuple(int(o) for o in row) for row in out]
+
+
+def index_to_seq(idx: int, n_symbols: int, length: int) -> tuple:
+    """Inverse of :func:`condseq.sequences.seq_to_index` for a given length."""
+    if not 0 <= idx < n_symbols**length:
+        raise ValueError(f"index {idx} out of range for length {length}")
+    out = []
+    for _ in range(length):
+        idx, digit = divmod(idx, n_symbols)
+        out.append(digit + 1)
+    return tuple(reversed(out))
 
 
 def full_table_draws(table: TableDist, history, rng: np.random.Generator,

@@ -1,13 +1,11 @@
 import math
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from condseq import distributions
 from condseq.distributions import (
     EnumerationCapError,
     Hmm,
@@ -347,17 +345,14 @@ def test_hmm_text_prefixes_fail_with_the_line(seed):
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
-def test_memoised_walk_is_bit_identical_to_filtering_from_root(data):
-    """Interleaved queries, including zero-probability resets, at any memo depth."""
+def test_prefix_walk_is_bit_identical_to_filtering_from_root(data):
+    """Interleaved queries, including zero-probability resets."""
     rng = np.random.default_rng(data.draw(st.integers(0, 10_000)))
-    # A small budget puts the memo's depth limit inside the horizon.
-    with mock.patch.object(distributions, "_MEMO_BYTES",
-                           data.draw(st.integers(0, 2**12))):
-        hmm = random_hmm_with_zero_symbols(rng)
+    hmm = random_hmm_with_zero_symbols(rng)
     O, T = hmm.n_symbols, hmm.horizon
     seen = [()]
     for _ in range(data.draw(st.integers(1, 40))):
-        # a prefix of an earlier query, extended: hits on the memo and the path
+        # a prefix of an earlier query, extended: reuses part of the kept path
         base = data.draw(st.sampled_from(seen))
         base = base[:data.draw(st.integers(0, len(base)))]
         seq = base + tuple(data.draw(st.lists(st.integers(1, O),
@@ -384,11 +379,10 @@ def test_memoised_walk_is_bit_identical_to_filtering_from_root(data):
             got = hmm.sample_futures(seq, np.random.default_rng(seed), 3)
             want = full_hmm_draws(hmm, seq, np.random.default_rng(seed), 3)
             assert [tuple(row) for row in got.tolist()] == want
-    # keys number the prefix tree level by level, so these are depth <= memo depth
-    assert max(hmm._memo) < sum(O**d for d in range(hmm._memo_depth + 1))
 
 
-def test_prefix_memo_stays_within_its_budget():
+def test_one_row_queries_retain_no_prefix_tree():
+    # the walk keeps only the previous call's path, whatever it has answered
     tracemalloc.start()
     try:
         hmm = make_parity_hmm(12, alpha=0.2)
@@ -398,12 +392,7 @@ def test_prefix_memo_stays_within_its_budget():
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    depth = hmm._memo_depth
-    assert depth < 12  # the budget, not the horizon, limits the memo here
-    assert len(hmm._memo) == 2 ** (depth + 1) - 1
-    node_bytes = 8 * hmm.n_states + distributions._NODE_BYTES
-    assert len(hmm._memo) * node_bytes <= distributions._MEMO_BYTES
-    assert grown <= distributions._MEMO_BYTES
+    assert grown <= 64 * 1024
 
 
 def test_hmm_parameters_and_beliefs_are_read_only():

@@ -22,7 +22,7 @@ def test_histograms_are_cached_per_history():
     again = est.next_symbol_freqs(())
     assert oracle.stats.total == used  # no new draws
     np.testing.assert_array_equal(first, again)
-    est.cond_prob((), (2, 1))
+    est.gated_cond_prob((), (2, 1), alpha=0.0)
     assert oracle.stats.total == used + 100  # only the new history (2,) drawn
     assert est.histories_cached == 2
 
@@ -31,9 +31,9 @@ def test_frequencies_approach_truth():
     est, _ = _estimator(TABLE, samples=8000, seed=3)
     np.testing.assert_allclose(est.next_symbol_freqs(()), [0.3, 0.7],
                                atol=0.03)
-    assert est.cond_prob((), (2,)) == pytest.approx(0.7, abs=0.03)
-    assert est.cond_prob((), (2, 2)) == pytest.approx(0.4, abs=0.03)
-    assert est.cond_prob((1,), ()) == 1.0
+    assert est.gated_cond_prob((), (2,), alpha=0.0) == pytest.approx(0.7, abs=0.03)
+    assert est.gated_cond_prob((), (2, 2), alpha=0.0) == pytest.approx(0.4, abs=0.03)
+    assert est.gated_cond_prob((1,), (), alpha=0.0) == 1.0
 
 
 def test_full_length_history_rejected():
@@ -46,7 +46,7 @@ def test_zero_probability_history_yields_zero_histogram():
     dead = TableDist(np.array([0.0, 0.0, 0.6, 0.4]), n_symbols=2, horizon=2)
     est, _ = _estimator(dead, samples=50)
     np.testing.assert_array_equal(est.next_symbol_freqs((1,)), [0.0, 0.0])
-    assert est.cond_prob((1,), (2,)) == 0.0
+    assert est.gated_cond_prob((1,), (2,), alpha=0.0) == 0.0
 
 
 def test_regularity_screen():
@@ -62,8 +62,8 @@ def test_regularity_screen():
 def test_estimates_are_deterministic_after_first_draw():
     hmm = make_parity_hmm(4, alpha=0.2)
     est, _ = _estimator(hmm, samples=200, seed=9)
-    a = est.cond_prob((1,), (1, 2, 1))
-    b = est.cond_prob((1,), (1, 2, 1))
+    a = est.gated_cond_prob((1,), (1, 2, 1), alpha=0.0)
+    b = est.gated_cond_prob((1,), (1, 2, 1), alpha=0.0)
     assert a == b
 
 

@@ -1,5 +1,4 @@
 import re
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -306,6 +305,21 @@ def test_model_text_prefixes_fail_with_the_line_or_end_a_section(seed):
         assert (clone.test_matrices is None) == (k < len(lines))
 
 
+def test_model_text_rejects_symbols_outside_the_alphabet():
+    tests = [[(1,)] for _ in range(3)] + [[()]]
+    model = construct_exact_operators(make_parity_hmm(3, alpha=0.2),
+                                      parity_class_bases(3), test_seqs=tests)
+    lines = model_to_text(model).splitlines()
+    member = lines.index("basis 1") + 2  # the member 2
+    future = lines.index("tests 0 1 1") + 1  # the test future 1
+    for row, text in ((member, "7"), (member, "0"), (future, "1,0"),
+                      (future, "3")):
+        edited = lines[:row] + [text] + lines[row + 1:]
+        with pytest.raises(ValueError,
+                           match=rf"^line {row + 1}: .*outside 1\.\.2"):
+            model_from_text("\n".join(edited))
+
+
 # -- evaluation of learned models --------------------------------------------
 
 # Quarter-grid entries: sums and products of a few of them are exact, so the
@@ -349,20 +363,16 @@ def test_batched_evaluation_matches_the_one_prefix_reference(model, flavor, seed
     _close(learned.row_conditionals(np.array(seqs).reshape(len(seqs), T)),
            [[ref.next_symbol_probs(s[:t]) for t in range(T)] for s in seqs])
 
-    # the one-row path with short prefixes read off the level walk, then with
-    # every step taken on its own
-    for budget in (oom._TABLE_BYTES, 0):
-        with mock.patch.object(oom, "_TABLE_BYTES", budget):
-            one_row = to_distribution(model, flavor)
-            for t in range(T + 1):
-                for h in all_seqs(O, t):
-                    _close(one_row.joint_prob(h), ref.joint_prob(h))
-                    if t < T:
-                        _close(one_row.next_symbol_probs(h), ref.next_symbol_probs(h))
-            for s in seqs:
-                for k in range(T + 1):
-                    _close(one_row.conditional_prob(s[:k], s[k:]),
-                           ref.conditional_prob(s[:k], s[k:]))
+    # the one-row path, one symbol at a time from the root
+    for t in range(T + 1):
+        for h in all_seqs(O, t):
+            _close(learned.joint_prob(h), ref.joint_prob(h))
+            if t < T:
+                _close(learned.next_symbol_probs(h), ref.next_symbol_probs(h))
+    for s in seqs:
+        for k in range(T + 1):
+            _close(learned.conditional_prob(s[:k], s[k:]),
+                   ref.conditional_prob(s[:k], s[k:]))
 
     hmm = random_hmm(np.random.default_rng(seed), 2, O, T)
     _close(conditional_gap_exact(hmm, learned), conditional_gap_loop(hmm, ref))
@@ -392,13 +402,16 @@ def test_tv_exact_walks_each_level_once(monkeypatch):
     assert len(levels) <= T
 
 
-@pytest.mark.parametrize("budget", [oom._TABLE_BYTES, 0])
-def test_symbols_outside_the_alphabet_raise(monkeypatch, budget):
-    # symbol 0 used to read symbol O's operator, and O + 1 to raise IndexError
-    monkeypatch.setattr(oom, "_TABLE_BYTES", budget)
+@pytest.mark.parametrize("reach", [0, 262144])
+def test_symbols_outside_the_alphabet_raise(reach):
+    # symbol 0 used to read symbol O's operator (or a table's last symbol),
+    # and O + 1 to raise IndexError; symbols far outside 1..O must raise the
+    # same error, not wrap around or index past an operator stack
     hmm = make_parity_hmm(4, alpha=0.2)
     model = construct_exact_operators(hmm, parity_class_bases(4))
-    for bad in (0, -1, 3):
+    table = TableDist(enumerate_joint(hmm), 2, 4)
+    learned = [to_distribution(model, flavor) for flavor in ("raw", "anchored")]
+    for bad in (-reach, -reach - 1, 3 + reach):
         message = re.escape(f"symbol {bad} outside 1..2")
         with pytest.raises(ValueError, match=message):
             eval_prob(model, (bad, 1, 2, 1))
@@ -406,13 +419,16 @@ def test_symbols_outside_the_alphabet_raise(monkeypatch, budget):
             model.propagate((1, bad))
         with pytest.raises(ValueError, match=message):
             list(row_walk(model.operators, np.array([[1, bad]])))
-        for flavor in ("raw", "anchored"):
-            learned = to_distribution(model, flavor)
-            for call in (lambda: learned.joint_prob((bad, 1, 2, 1)),
-                         lambda: learned.joint_prob((1, 2, 1, bad)),
-                         lambda: learned.next_symbol_probs((1, bad)),
-                         lambda: learned.conditional_prob((1,), (bad, 2))):
+        for dist in (hmm, table, *learned):
+            for call in (lambda: dist.joint_prob((bad, 1, 2, 1)),
+                         lambda: dist.joint_prob((1, 2, 1, bad)),
+                         lambda: dist.next_symbol_probs((1, bad)),
+                         lambda: dist.conditional_prob((1,), (bad, 2))):
                 with pytest.raises(ValueError, match=message):
                     call()
+        for dist in learned:
             with pytest.raises(ValueError, match=message):
-                learned.row_conditionals(np.array([[1, 2, bad, 1]]))
+                dist.row_conditionals(np.array([[1, 2, bad, 1]]))
+        for dist in (hmm, table):
+            with pytest.raises(ValueError, match=message):
+                dist.sample_futures((1, bad), np.random.default_rng(0), 2)

