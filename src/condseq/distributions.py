@@ -34,6 +34,11 @@ type: an HMM resets its state belief to uniform at the step where the
 probability dies and keeps filtering (so conditionals stay well defined), while
 a :class:`TableDist` raises (there is no latent state to fall back on).
 
+An HMM's joint table needs no beliefs.  :func:`enumerate_joint` multiplies
+the unnormalised forward vectors of the first half of each sequence by the
+backward vectors of its second half, one ``(O**⌊T/2⌋, S) @ (S, O**⌈T/2⌉)``
+product, so the table reshaped at the split has rank at most ``S``.
+
 Every enumeration of conditionals goes through one layer.  The kernel is
 :meth:`Hmm.filter_batch`: from ``(N, S)`` beliefs it gives each symbol's
 probability and the ``(N·O, S)`` next beliefs, with the uniform reset of
@@ -445,14 +450,37 @@ def _check_steps(length: int, steps: int | None) -> int:
 
 
 def enumerate_joint(dist) -> np.ndarray:
-    """All ``O**T`` sequence probabilities in lexicographic order."""
+    """All ``O**T`` sequence probabilities in lexicographic order.
+
+    An :class:`Hmm` splits each sequence into a prefix ``h`` of ``m = ⌊T/2⌋``
+    symbols and a future ``f`` of ``T - m``.  With the kernels ``K_o`` of
+    :func:`_kernels`, ``Pr[h·f]`` is the backward vector
+    ``1ᵀ K_{f_{T-m}}···K_{f_1}`` times the forward vector
+    ``K_{h_m}···K_{h_1} μ``, so the table reshaped ``O**m × O**(T-m)`` is the
+    ``(O**m, S) @ (S, O**(T-m))`` product of the two stacks and has rank at
+    most ``S``.  Both stacks are built in ``seq_to_index`` order, and the
+    prefix is the leading part of a sequence's index, so the flattened
+    product is the lexicographic table.  Nothing is normalised: a
+    zero-probability prefix has an exactly zero forward vector.  Learned-model
+    wrappers run their level walk; other distributions answer one
+    ``joint_prob`` per sequence.
+    """
     if isinstance(dist, TableDist):
         return dist.probs.copy()
-    if isinstance(dist, Hmm):
-        _check_enum(dist.n_symbols, dist.horizon)
-        return _tree_probs(dist, dist.mu[None, :], dist.horizon)[0][0]
     O, T = dist.n_symbols, dist.horizon
     _check_enum(O, T)
+    if isinstance(dist, Hmm):
+        kernels, S = _kernels(dist), dist.n_states
+        # row n·O + o - 1 of the next stack is K_o times row n
+        forward = dist.mu[None, :]
+        for _ in range(T // 2):
+            forward = (forward @ kernels.transpose(0, 2, 1)).transpose(
+                1, 0, 2).reshape(-1, S)
+        # row (o - 1)·N + n of the next stack is row n times K_o
+        backward = np.ones((1, S))
+        for _ in range(T - T // 2):
+            backward = (backward @ kernels).reshape(-1, S)
+        return (forward @ backward.T).reshape(-1)
     if hasattr(dist, "prefix_levels"):  # learned-model wrappers
         for _, probs, _ in dist.prefix_levels():
             pass

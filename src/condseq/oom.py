@@ -185,7 +185,9 @@ def exact_coefficients(dist, members: list[Seq], history: Seq) -> np.ndarray:
     coordinates and differs from the enumerated one.
     """
     length = dist.horizon - len(history)
-    table = _coordinates(dist, [*members, history], length, _spans(dist, length))
+    spans = _spans(dist, length)
+    table = _coordinates(dist, _level(dist, [*members, history], spans), length,
+                         spans)
     beta, *_ = np.linalg.lstsq(table[:, :-1], table[:, -1], rcond=PINV_CUTOFF)
     return beta
 
@@ -221,9 +223,13 @@ def construct_exact_operators(dist, bases: list[list[Seq]],
     spans = _spans(dist, T - 1)
     operators: list[list[np.ndarray]] = []
     step_matrices: list[np.ndarray] = []
+    # each level's members are filtered once, then read at two levels
+    members = _level(dist, bases[0], spans)
     for t in range(T):
-        p_next = _coordinates(dist, bases[t + 1], T - t - 1, spans)
-        steps, blocks = _continuations(dist, bases[t], T - t - 1, spans)
+        following = _level(dist, bases[t + 1], spans)
+        p_next = _coordinates(dist, following, T - t - 1, spans)
+        steps, blocks = _continuations(dist, members, T - t - 1, spans)
+        members = following
         step_matrices.append(steps)
         per_symbol: list[np.ndarray] = []
         for o, rhs in enumerate(blocks, start=1):
@@ -263,37 +269,44 @@ def _spans(dist, depth: int) -> list[np.ndarray] | None:
     return _observable_bases(dist, depth) if isinstance(dist, Hmm) else None
 
 
-def _beliefs(hmm: Hmm, members: list[Seq]) -> np.ndarray:
-    """``(S, n)`` filtered beliefs of the members, one column each."""
-    return np.array([hmm.forward_filter(b).probs for b in members]).reshape(
-        len(members), hmm.n_states).T
+def _level(dist, members: list[Seq], spans: list[np.ndarray] | None):
+    """The members as :func:`_coordinates` and :func:`_continuations` read them.
+
+    An HMM's are their ``(S, n)`` filtered beliefs, one column and one
+    :meth:`~condseq.distributions.Hmm.forward_filter` each; a table's are the
+    members themselves.
+    """
+    if spans is None:
+        return members
+    return np.array([dist.forward_filter(b).probs for b in members]).reshape(
+        len(members), dist.n_states).T
 
 
-def _coordinates(dist, members: list[Seq], length: int,
+def _coordinates(dist, members, length: int,
                  spans: list[np.ndarray] | None) -> np.ndarray:
     """``(d, n)``: column ``i`` holds the coordinates of ``Pr[F | members[i]]``.
 
-    ``F`` ranges over the futures of length ``length``: an HMM's coordinates
-    are ``Q_lengthᵀ`` times the member's belief, a table's the enumerated
-    conditionals themselves.
+    ``members`` comes from :func:`_level`.  ``F`` ranges over the futures of
+    length ``length``: an HMM's coordinates are ``Q_lengthᵀ`` times the
+    member's belief, a table's the enumerated conditionals themselves.
     """
     if spans is not None:
-        return spans[length].T @ _beliefs(dist, members)
+        return spans[length].T @ members
     return future_table(dist, length, histories=members)[1].T
 
 
-def _continuations(dist, members: list[Seq], length: int,
+def _continuations(dist, members, length: int,
                    spans: list[np.ndarray] | None) -> tuple[np.ndarray, np.ndarray]:
     """``(steps, blocks)``: one-symbol continuations of the members.
 
-    ``steps`` is ``(O, n)``, ``steps[o - 1, i] = Pr[o | members[i]]``;
-    ``blocks[o - 1]`` is ``(d, n)``, the coordinates (as in
-    :func:`_coordinates`) of ``Pr[o · F | members[i]]`` over the futures ``F``
-    of length ``length``.  An HMM's are ``Q_lengthᵀ K_o`` times the belief.
+    ``members`` comes from :func:`_level`.  ``steps`` is ``(O, n)``,
+    ``steps[o - 1, i] = Pr[o | members[i]]``; ``blocks[o - 1]`` is ``(d, n)``,
+    the coordinates (as in :func:`_coordinates`) of ``Pr[o · F | members[i]]``
+    over the futures ``F`` of length ``length``.  An HMM's are
+    ``Q_lengthᵀ K_o`` times the belief.
     """
     if spans is not None:
-        beliefs = _beliefs(dist, members)
-        return dist.emission @ beliefs, spans[length].T @ _kernels(dist) @ beliefs
+        return dist.emission @ members, spans[length].T @ _kernels(dist) @ members
     table = future_table(dist, length + 1, histories=members)[1]
     blocks = table.reshape(len(members), dist.n_symbols, -1).transpose(1, 2, 0)
     return blocks.sum(axis=1), blocks
@@ -506,18 +519,24 @@ def model_from_text(text: str) -> OomModel:
     T = lines.line("the T line", "T", 1, int)[0]
     sizes = lines.line("the sizes line", "sizes", T + 1, int)
 
-    def sequence(text: str) -> Seq:
-        """A sequence over the file's alphabet ``1..O``."""
-        seq = parse_seq(text)
-        for o in seq:
-            if not 0 < o <= O:
-                raise ValueError(f"symbol {o} outside 1..{O}")
-        return seq
+    def sequence(lengths: range):
+        """Parser of a sequence over ``1..O`` whose length lies in ``lengths``."""
+        def parse(text: str) -> Seq:
+            seq = parse_seq(text)
+            for o in seq:
+                if not 0 < o <= O:
+                    raise ValueError(f"symbol {o} outside 1..{O}")
+            if len(seq) not in lengths:
+                raise ValueError(f"length {len(seq)} outside "
+                                 f"{lengths.start}..{lengths.stop - 1}")
+            return seq
+        return parse
 
     bases: list[list[Seq]] = []
     for t in range(T + 1):
         lines.line(f"'basis {t}'", f"basis {t}")
-        bases.append([lines.line(f"basis {t} member", count=1, kind=sequence)[0]
+        bases.append([lines.line(f"basis {t} member", count=1,
+                                 kind=sequence(range(t, t + 1)))[0]
                       for _ in range(sizes[t])])
 
     def section(kind: str, label: str, rows: int | None, cols: int) -> int:
@@ -545,7 +564,8 @@ def model_from_text(text: str) -> OomModel:
         for t in range(T + 1):
             rows = section("tests", str(t), None, sizes[t])
             test_seqs.append([lines.line(f"tests {t} future", count=1,
-                                         kind=sequence)[0] for _ in range(rows)])
+                                         kind=sequence(range(T - t + 1)))[0]
+                              for _ in range(rows)])
             test_matrices.append(lines.matrix(f"tests {t}", rows, sizes[t]))
     lines.finish()
     return OomModel(n_symbols=O, horizon=T, bases=bases, operators=operators,

@@ -19,7 +19,9 @@ from condseq.distributions import (
     rank_of,
     save_hmm,
 )
-from condseq.generators import make_parity_hmm
+from condseq.generators import make_parity_hmm, parity_class_bases
+from condseq.metrics import tv_exact
+from condseq.oom import construct_exact_operators, to_distribution
 from condseq.sequences import all_seqs, seq_to_index
 
 from _reference import (
@@ -83,6 +85,50 @@ def test_enumerate_joint_order_and_mass():
     for seq in all_seqs(3, 3):
         assert table[seq_to_index(seq, 3)] == pytest.approx(
             hmm.joint_prob(seq), abs=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10_000), st.integers(2, 3), st.integers(1, 8),
+       st.booleans())
+def test_enumerate_joint_matches_the_belief_tree(seed, n_symbols, horizon,
+                                                 zero_symbols):
+    rng = np.random.default_rng(seed)
+    if zero_symbols:
+        hmm = random_hmm_with_zero_symbols(rng)
+    else:
+        hmm = random_hmm(rng, int(rng.integers(1, 4)), n_symbols, horizon)
+    O, T = hmm.n_symbols, hmm.horizon
+    got = enumerate_joint(hmm)
+    tree = future_table(hmm, T, t=0)[1][0]
+    np.testing.assert_allclose(got, tree, rtol=1e-12, atol=1e-15)
+    assert np.all(got[tree == 0.0] == 0.0)
+    if O**T <= 81:
+        want = [brute_force_joint(hmm, seq) for seq in all_seqs(O, T)]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+
+def test_enumerate_joint_keeps_no_belief_per_prefix():
+    # the forward and backward stacks hold O**(T/2) vectors each, where a
+    # belief tree holds one belief for every prefix of every length
+    hmm = make_parity_hmm(16, alpha=0.2)
+    tracemalloc.start()
+    try:
+        enumerate_joint(hmm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
+
+
+def test_tv_exact_of_an_hmm_filters_no_belief_batch(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the HMM's joint table filtered beliefs")
+
+    monkeypatch.setattr(Hmm, "filter_batch", refuse)
+    hmm = make_parity_hmm(16, alpha=0.2)
+    learned = to_distribution(construct_exact_operators(hmm,
+                                                        parity_class_bases(16)))
+    assert tv_exact(hmm, learned) <= 1e-9
 
 
 def _never_emits_two() -> Hmm:

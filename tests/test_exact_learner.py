@@ -189,7 +189,8 @@ def test_learn_exact_cost_guard(monkeypatch):
     count("conditional_prob")
     oracle, _, _ = _learn(make_parity_hmm(12, alpha=0.2), n_override=200)
     assert oracle.stats.total == 20_499
-    # filtering each query from the root took 28,676 steps, and the per-query
-    # prefix memo 4,812 steps under 2,699 conditional_prob calls
+    # filtering each query from the root took 28,676 steps; the one-row walk
+    # that keeps the previous call's path takes 700 steps under 134
+    # conditional_prob calls
     assert calls["step"] <= 1_000
     assert calls["conditional_prob"] <= 300

@@ -160,6 +160,22 @@ def test_belief_space_paths_enumerate_nothing(monkeypatch):
     assert rank_of(make_parity_hmm(12, alpha=0.2)) == 2
 
 
+def test_exact_operators_filter_each_basis_member_once(monkeypatch):
+    # a level's members serve as the targets of the level below and as the
+    # sources of their own level; both read one filtered belief
+    filtered = []
+    inner = Hmm.forward_filter
+
+    def counted(self, history):
+        filtered.append(tuple(history))
+        return inner(self, history)
+
+    monkeypatch.setattr(Hmm, "forward_filter", counted)
+    bases = parity_class_bases(16)
+    construct_exact_operators(make_parity_hmm(16, alpha=0.2), bases)
+    assert sorted(filtered) == sorted(b for members in bases for b in members)
+
+
 @pytest.mark.parametrize("horizon", [32, 64])
 def test_exact_operators_and_rank_past_the_enumeration_cap(horizon):
     # the check the exact-parity20 benchmark applies to a learned model
@@ -318,6 +334,24 @@ def test_model_text_rejects_symbols_outside_the_alphabet():
         with pytest.raises(ValueError,
                            match=rf"^line {row + 1}: .*outside 1\.\.2"):
             model_from_text("\n".join(edited))
+
+
+def test_model_text_rejects_sequences_of_the_wrong_length():
+    # a level-t basis member has length t; a level-t test future at most T - t
+    tests = [[(1,)] for _ in range(3)] + [[()]]
+    model = construct_exact_operators(make_parity_hmm(3, alpha=0.2),
+                                      parity_class_bases(3), test_seqs=tests)
+    lines = model_to_text(model).splitlines()
+    member = lines.index("basis 1") + 2  # the member 2
+    future = lines.index("tests 0 1 1") + 1  # the test future 1
+    last = lines.index("tests 3 1 1") + 1  # the empty test future
+    for row, text in ((member, "1,2"), (member, "-"), (future, "1,2,1,2,1"),
+                      (last, "1")):
+        edited = lines[:row] + [text] + lines[row + 1:]
+        with pytest.raises(ValueError, match=rf"^line {row + 1}: .*length"):
+            model_from_text("\n".join(edited))
+    edited = lines[:future] + ["1,2,1"] + lines[future + 1:]
+    assert model_from_text("\n".join(edited)).test_seqs[0] == [(1, 2, 1)]
 
 
 # -- evaluation of learned models --------------------------------------------
