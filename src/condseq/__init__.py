@@ -8,11 +8,18 @@ scale: exact TV distances, basis fidelity spectra, and rank diagnostics.
 Submodules load on first use of one of their names, so importing the
 enumeration referee (``distributions``, ``metrics``, ``generators``, ``oom``)
 pulls in no learner code.
+
+Importing the package sets numpy's bundled OpenBLAS to one thread (see
+:mod:`condseq._blas`).
 """
 
 import importlib
 
+from ._blas import use_one_thread
+
 __version__ = "0.1.0"
+
+use_one_thread()
 
 # Public name -> submodule defining it.
 _EXPORTS = {name: module for module, names in {
