@@ -29,6 +29,11 @@ Truncated draws consume the random stream exactly like full ones: a draw with
 seeded generator, and leaves the generator in the same state, so the next
 draw is identical too.  Stopping early only skips simulation work.
 
+An HMM's two batched walks, the sampler :meth:`Hmm.sample_futures` and the
+row walk :meth:`Hmm.row_conditionals`, share one distinct-prefix step,
+:meth:`Hmm._children`: rows that share a prefix share its belief, so each
+step filters one belief per distinct prefix, however many rows there are.
+
 Conditioning on a zero-probability history follows different conventions per
 type: an HMM resets its state belief to uniform at the step where the
 probability dies and keeps filtering (so conditionals stay well defined), while
@@ -262,26 +267,36 @@ class Hmm:
                        steps: int | None = None) -> np.ndarray:
         """First ``steps`` symbols of ``size`` futures of ``history``.
 
-        Simulates ``steps`` symbols in a vectorized batch, then discards the
-        uniforms the remaining steps of a full future would have used.
+        Walks the tree of distinct drawn prefixes: each step computes the
+        next-symbol distribution once per distinct prefix, draws one uniform
+        per row (``rng.random(size)``) against its prefix's cumulative
+        distribution, and filters one belief per distinct ``(prefix, symbol)``
+        child with :meth:`_children`.  A batch of ``size`` rows holds at most
+        ``O**j`` distinct prefixes after ``j`` steps, so the belief arithmetic
+        does not grow with ``size``.  The uniforms are the ones a row-by-row
+        simulation draws, in the same order, and the uniforms the remaining
+        ``length - steps`` steps of a full future would use are discarded, so
+        the random stream is unchanged.
+
+        A zero-probability symbol can only be drawn past the rounding guard on
+        the last cumulative edge (probability about 1e-16 per draw); its
+        belief then restarts from uniform, as in :meth:`step`.
         """
         length = self.horizon - len(history)
         steps = _check_steps(length, steps)
-        beliefs = np.tile(self.forward_filter(history).probs, (size, 1))
+        # beliefs of the distinct prefixes; row i's prefix is node[i]
+        beliefs = self.forward_filter(history).probs[None, :]
+        node = np.zeros(size, dtype=np.int64)
         out = np.empty((size, steps), dtype=np.int64)
         for j in range(steps):
-            probs = beliefs @ self.emission.T  # (size, O)
+            probs = beliefs @ self.emission.T
             cum = np.cumsum(probs, axis=1)
             # guard against rounding: force the last edge to cover u
             cum[:, -1] = np.maximum(cum[:, -1], 1.0)
             u = rng.random(size)
-            symbols = (cum > u[:, None]).argmax(axis=1)  # 0-based
-            out[:, j] = symbols + 1
+            out[:, j] = (cum[node] > u[:, None]).argmax(axis=1) + 1
             if j + 1 < steps:
-                w = beliefs * self.emission[symbols, :]
-                norm = w.sum(axis=1, keepdims=True)
-                np.maximum(norm, 1e-300, out=norm)
-                beliefs = (w / norm) @ self.transition.T
+                beliefs, node = self._children(beliefs, probs, node, out[:, j])
         if steps < length:
             rng.random(size * (length - steps))
         return out
@@ -314,9 +329,9 @@ class Hmm:
 
         Entry ``[i, t]`` holds the next-symbol distribution after the first
         ``t`` symbols of row ``i`` of the ``(n, L)`` array ``symbols``.  Each
-        column is one batched belief update, with the uniform reset of
-        :meth:`filter_batch`, of every distinct prefix of that length: rows
-        that share a prefix share its belief.
+        column is one batched belief update (:meth:`_children`), with the
+        uniform reset of :meth:`filter_batch`, of every distinct prefix of
+        that length: rows that share a prefix share its belief.
         """
         symbols = np.asarray(symbols, dtype=np.int64)
         n, length = symbols.shape
@@ -333,19 +348,37 @@ class Hmm:
             probs = beliefs @ self.emission.T
             out[:, t] = probs[node]
             if t + 1 < length:
-                # number the distinct (prefix, symbol) children in order
-                child = node * O + symbols[:, t] - 1
-                seen = np.zeros(len(beliefs) * O, dtype=bool)
-                seen[child] = True
-                parent, sym = np.divmod(np.flatnonzero(seen), O)
-                node = np.cumsum(seen)[child] - 1
-                p = probs[parent, sym]
-                w = beliefs[parent]  # a copy, updated in place
-                w *= self.emission[sym]
-                w /= np.maximum(p, 1e-300)[:, None]
-                beliefs = w @ self.transition.T
-                beliefs[p <= 0.0] = 1.0 / self.n_states
+                beliefs, node = self._children(beliefs, probs, node,
+                                               symbols[:, t])
         return out
+
+    def _children(self, beliefs: np.ndarray, probs: np.ndarray,
+                  node: np.ndarray, symbols: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+        """One step of the distinct-prefix tree shared by both batched walks.
+
+        ``beliefs`` is ``(N, S)``, one belief per distinct prefix, and
+        ``probs = beliefs @ emission.T`` its ``(N, O)`` symbol probabilities;
+        row ``i`` sits at prefix ``node[i]`` and observes ``symbols[i]``
+        (1-based).  Returns the beliefs of the distinct ``(prefix, symbol)``
+        children and each row's child.  Children are numbered in increasing
+        ``prefix·O + symbol - 1`` order: by parent, then by symbol.  Each is
+        filtered once from its parent, with the uniform reset of
+        :meth:`filter_batch` after a zero-probability symbol.
+        """
+        O = self.n_symbols
+        child = node * O + symbols - 1
+        seen = np.zeros(len(beliefs) * O, dtype=bool)
+        seen[child] = True
+        parent, sym = np.divmod(np.flatnonzero(seen), O)
+        node = np.cumsum(seen)[child] - 1
+        p = probs[parent, sym]
+        w = beliefs[parent]  # a copy, updated in place
+        w *= self.emission[sym]
+        w /= np.maximum(p, 1e-300)[:, None]
+        beliefs = w @ self.transition.T
+        beliefs[p <= 0.0] = 1.0 / self.n_states
+        return beliefs, node
 
 
 @dataclass
@@ -593,7 +626,8 @@ def rank_of(dist, tol: float = 1e-8) -> int:
         return max(numerical_rank(np.hstack([future_table(dist, ell, t=t)[1]
                                              for ell in range(1, T - t + 1)]), tol)
                    for t in range(1, T))
-    spans, kernels = _observable_bases(dist, T - 1), _kernels(dist)
+    kernels = _kernels(dist)
+    spans = _observable_bases(kernels, T - 1)
     reach, rank = _orth(dist.mu[:, None]), 0
     for t in range(1, T):
         reach = _orth(np.hstack(kernels @ reach))
@@ -609,21 +643,22 @@ def _kernels(hmm: Hmm) -> np.ndarray:
     return hmm.transition[None, :, :] * hmm.emission[:, None, :]
 
 
-def _observable_bases(hmm: Hmm, depth: int) -> list[np.ndarray]:
+def _observable_bases(kernels: np.ndarray, depth: int) -> list[np.ndarray]:
     """Orthonormal bases ``Q_L`` of the observable subspaces, ``L = 0..depth``.
 
-    With the kernels ``K_o`` of :func:`_kernels`, the length-``L`` future
-    probabilities of a belief ``b`` are ``M_L b``, row ``f`` of ``M_L`` being
-    ``1ᵀ K_{f_L}···K_{f_1}``.  Its row space ``W_L`` follows
-    ``W_0 = span{1ᵀ}`` and ``W_L = span{w K_o : w ∈ W_{L-1}, o}``, so it has
-    at most ``S`` dimensions, and ``Σ_o 1ᵀ K_o = 1ᵀ`` nests it:
+    With the ``(O, S, S)`` kernels ``K_o`` of :func:`_kernels`, the
+    length-``L`` future probabilities of a belief ``b`` are ``M_L b``, row
+    ``f`` of ``M_L`` being ``1ᵀ K_{f_L}···K_{f_1}``.  Its row space ``W_L``
+    follows ``W_0 = span{1ᵀ}`` and ``W_L = span{w K_o : w ∈ W_{L-1}, o}``, so
+    it has at most ``S`` dimensions, and ``Σ_o 1ᵀ K_o = 1ᵀ`` nests it:
     ``W_{L-1} ⊆ W_L``.  ``Q_L`` is ``(S, d_L)`` with ``d_L = dim W_L``, and
     ``M_L Q_L`` has full column rank, so ``Q_Lᵀ b`` determines ``M_L b``:
     linear systems in future coordinates keep their solution sets in ``Q``
     coordinates.
     """
-    adjoints = _kernels(hmm).transpose(0, 2, 1)
-    spans = [np.full((hmm.n_states, 1), 1.0 / math.sqrt(hmm.n_states))]
+    S = kernels.shape[1]
+    adjoints = kernels.transpose(0, 2, 1)
+    spans = [np.full((S, 1), 1.0 / math.sqrt(S))]
     for _ in range(depth):
         spans.append(_orth(np.hstack(adjoints @ spans[-1])))
     return spans

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .distributions import ENUM_CAP, Hmm, TableDist, future_table, numerical_rank
+from .distributions import Hmm, TableDist, _check_enum, future_table, numerical_rank
 from .sequences import Seq, all_seqs, seq_count, seq_to_index
 
 
@@ -111,10 +111,8 @@ def make_random_table(n_symbols: int, horizon: int, seed: int,
                       concentration: float = 1.0) -> TableDist:
     """Dirichlet-random explicit distribution over all sequences."""
     rng = np.random.default_rng(seed)
-    n = seq_count(n_symbols, horizon)
-    if n > ENUM_CAP:
-        raise ValueError("table too large")
-    probs = rng.dirichlet(np.full(n, concentration))
+    _check_enum(n_symbols, horizon)
+    probs = rng.dirichlet(np.full(seq_count(n_symbols, horizon), concentration))
     return TableDist(probs=probs, n_symbols=n_symbols, horizon=horizon)
 
 
@@ -128,8 +126,7 @@ def perturb_conditionals(dist, eta: float, seed: int) -> TableDist:
     """
     rng = np.random.default_rng(seed)
     O, T = dist.n_symbols, dist.horizon
-    if seq_count(O, T) > ENUM_CAP:
-        raise ValueError("horizon too large to enumerate")
+    _check_enum(O, T)
     probs = np.empty(seq_count(O, T))
 
     def walk(history: Seq, mass: float) -> None:

@@ -12,7 +12,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .distributions import ENUM_CAP, enumerate_joint, future_table
+from .distributions import _check_enum, enumerate_joint, future_table
 from .oom import OomModel, level_walk
 from .sequences import Seq, all_seqs, seq_count, seq_to_index
 
@@ -30,12 +30,12 @@ def tv_exact(p, q) -> float:
     """Half ℓ1 distance over all full-length sequences.
 
     ``q`` may be a raw :class:`OomModel`, whose values can be negative — the
-    result then may exceed 1.
+    result then may exceed 1.  Past ``ENUM_CAP`` sequences it raises
+    :class:`~condseq.distributions.EnumerationCapError`.
     """
     if (p.horizon, p.n_symbols) != (q.horizon, q.n_symbols):
         raise ValueError("distributions must share horizon and alphabet")
-    if seq_count(p.n_symbols, p.horizon) > ENUM_CAP:
-        raise ValueError("horizon too large to enumerate")
+    _check_enum(p.n_symbols, p.horizon)
     return 0.5 * float(np.abs(_seq_probs(p) - _seq_probs(q)).sum())
 
 
@@ -294,8 +294,7 @@ def expected_span_residual(dist, members: list[Seq]) -> float:
     if any(len(b) != t for b in members):
         raise ValueError("members must share one length")
     O, T = dist.n_symbols, dist.horizon
-    if seq_count(O, T) > ENUM_CAP:
-        raise ValueError("horizon too large to enumerate")
+    _check_enum(O, T)
     joint, table = future_table(dist, T - t, t=t)
     positive = joint > 0.0
     basis_cols = table[[seq_to_index(b, O) for b in members]].T

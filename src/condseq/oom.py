@@ -185,7 +185,7 @@ def exact_coefficients(dist, members: list[Seq], history: Seq) -> np.ndarray:
     coordinates and differs from the enumerated one.
     """
     length = dist.horizon - len(history)
-    spans = _spans(dist, length)
+    _, spans = _spans(dist, length)
     table = _coordinates(dist, _level(dist, [*members, history], spans), length,
                          spans)
     beta, *_ = np.linalg.lstsq(table[:, :-1], table[:, -1], rcond=PINV_CUTOFF)
@@ -220,7 +220,7 @@ def construct_exact_operators(dist, bases: list[list[Seq]],
     when ``test_seqs`` is given) are stored alongside.
     """
     O, T = dist.n_symbols, dist.horizon
-    spans = _spans(dist, T - 1)
+    kernels, spans = _spans(dist, T - 1)
     operators: list[list[np.ndarray]] = []
     step_matrices: list[np.ndarray] = []
     # each level's members are filtered once, then read at two levels
@@ -228,7 +228,8 @@ def construct_exact_operators(dist, bases: list[list[Seq]],
     for t in range(T):
         following = _level(dist, bases[t + 1], spans)
         p_next = _coordinates(dist, following, T - t - 1, spans)
-        steps, blocks = _continuations(dist, members, T - t - 1, spans)
+        steps, blocks = _continuations(dist, members, T - t - 1, spans,
+                                       kernels)
         members = following
         step_matrices.append(steps)
         per_symbol: list[np.ndarray] = []
@@ -264,9 +265,18 @@ def construct_exact_operators(dist, bases: list[list[Seq]],
     )
 
 
-def _spans(dist, depth: int) -> list[np.ndarray] | None:
-    """An HMM's observable-subspace bases ``Q_0..Q_depth``; ``None`` otherwise."""
-    return _observable_bases(dist, depth) if isinstance(dist, Hmm) else None
+def _spans(dist, depth: int) -> tuple[np.ndarray | None,
+                                     list[np.ndarray] | None]:
+    """An HMM's kernels and observable-subspace bases ``Q_0..Q_depth``.
+
+    The ``(O, S, S)`` kernels of :func:`~condseq.distributions._kernels` are
+    built once here and serve every level.  Other distributions get
+    ``(None, None)``.
+    """
+    if not isinstance(dist, Hmm):
+        return None, None
+    kernels = _kernels(dist)
+    return kernels, _observable_bases(kernels, depth)
 
 
 def _level(dist, members: list[Seq], spans: list[np.ndarray] | None):
@@ -295,18 +305,18 @@ def _coordinates(dist, members, length: int,
     return future_table(dist, length, histories=members)[1].T
 
 
-def _continuations(dist, members, length: int,
-                   spans: list[np.ndarray] | None) -> tuple[np.ndarray, np.ndarray]:
+def _continuations(dist, members, length: int, spans: list[np.ndarray] | None,
+                   kernels: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """``(steps, blocks)``: one-symbol continuations of the members.
 
     ``members`` comes from :func:`_level`.  ``steps`` is ``(O, n)``,
     ``steps[o - 1, i] = Pr[o | members[i]]``; ``blocks[o - 1]`` is ``(d, n)``,
     the coordinates (as in :func:`_coordinates`) of ``Pr[o · F | members[i]]``
     over the futures ``F`` of length ``length``.  An HMM's are
-    ``Q_lengthᵀ K_o`` times the belief.
+    ``Q_lengthᵀ K_o`` times the belief, with the ``kernels`` of :func:`_spans`.
     """
     if spans is not None:
-        return dist.emission @ members, spans[length].T @ _kernels(dist) @ members
+        return dist.emission @ members, spans[length].T @ kernels @ members
     table = future_table(dist, length + 1, histories=members)[1]
     blocks = table.reshape(len(members), dist.n_symbols, -1).transpose(1, 2, 0)
     return blocks.sum(axis=1), blocks

@@ -131,6 +131,18 @@ def test_run_experiment_sampling_outcome_shape(parity_file):
     assert outcome["tv"] <= 0.5
 
 
+def test_exact_tv_past_the_enumeration_cap_is_recorded(monkeypatch):
+    # parity T=5 has 32 sequences; the learner runs, then tv_exact hits the cap
+    monkeypatch.setattr("condseq.distributions.ENUM_CAP", 16)
+    report = run_experiment(ExperimentConfig(
+        instance={"kind": "parity", "horizon": 5, "alpha": 0.2},
+        algorithm="exact", params={"n_override": 50}, eval={"tv": "exact"}))
+    (outcome,) = report.outcomes
+    assert outcome["error"].startswith("EnumerationCapError")
+    assert outcome["rounds"] >= 1
+    assert not report.summary["passed"]
+
+
 def test_run_experiment_approx_basis_outcome(parity_file):
     config = ExperimentConfig(
         instance={"kind": "file", "path": parity_file},

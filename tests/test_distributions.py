@@ -427,6 +427,48 @@ def test_prefix_walk_is_bit_identical_to_filtering_from_root(data):
             assert [tuple(row) for row in got.tolist()] == want
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sampler_matches_row_by_row_simulation(data):
+    """Every truncation of the prefix-tree sampler against plain simulation."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 10_000)))
+    kind = data.draw(st.sampled_from(["random", "zero symbols", "never two"]))
+    if kind == "random":
+        hmm = random_hmm(rng, data.draw(st.integers(1, 6)),
+                         data.draw(st.sampled_from([2, 3, 4])),
+                         data.draw(st.integers(1, 8)))
+    else:
+        hmm = (random_hmm_with_zero_symbols(rng) if kind == "zero symbols"
+               else _never_emits_two())
+    O, T = hmm.n_symbols, hmm.horizon
+    # zero-probability histories included: the sampler starts from the reset
+    history = tuple(data.draw(st.lists(st.integers(1, O), max_size=T)))
+    size = data.draw(st.sampled_from([0, 1, 3, 500]))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    old_rng = np.random.default_rng(seed)
+    want = full_hmm_draws(hmm, history, old_rng, size)
+    after = old_rng.random(4)
+    for steps in range(T - len(history) + 1):
+        new_rng = np.random.default_rng(seed)
+        got = hmm.sample_futures(history, new_rng, size, steps=steps)
+        assert got.shape == (size, steps)
+        assert got.tolist() == [list(f[:steps]) for f in want]
+        assert new_rng.random(4).tobytes() == after.tobytes()
+
+
+def test_sampler_keeps_one_belief_per_distinct_prefix():
+    # 10,000 parity draws share at most 2**j prefixes after j steps
+    hmm = make_parity_hmm(5, alpha=0.3)
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        hmm.sample_futures((), rng, 10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 1024 * 1024
+
+
 def test_one_row_queries_retain_no_prefix_tree():
     # the walk keeps only the previous call's path, whatever it has answered
     tracemalloc.start()

@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from condseq.distributions import TableDist
+from condseq.distributions import EnumerationCapError, TableDist
 from condseq.generators import (
     greedy_spanning_bases,
     make_parity_hmm,
     make_random_table,
     one_step_bases,
     parity_class_bases,
+    perturb_conditionals,
 )
 from condseq.metrics import (
     FidelityReport,
@@ -204,6 +205,20 @@ def test_expected_span_residual_matches_reference_enumeration():
     assert got > 0.05  # a single member cannot cover both parity classes
     both = expected_span_residual(hmm, parity_class_bases(4, subset=subset)[2])
     assert both <= got
+
+
+def test_enumerating_referees_raise_the_cap_error():
+    # 2**21 sequences: every enumerating referee raises the one cap error,
+    # which run_experiment records, before enumerating anything
+    big = make_parity_hmm(21, alpha=0.2)
+    with pytest.raises(EnumerationCapError):
+        tv_exact(big, big)
+    with pytest.raises(EnumerationCapError):
+        expected_span_residual(big, [(1,), (2,)])
+    with pytest.raises(EnumerationCapError):
+        perturb_conditionals(big, 0.1, seed=0)
+    with pytest.raises(EnumerationCapError):
+        make_random_table(2, 21, seed=0)
 
 
 def test_expected_span_residual_validation():

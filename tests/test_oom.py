@@ -176,6 +176,23 @@ def test_exact_operators_filter_each_basis_member_once(monkeypatch):
     assert sorted(filtered) == sorted(b for members in bases for b in members)
 
 
+def test_exact_operators_build_the_kernels_once(monkeypatch):
+    # the HMM does not change between levels, so neither do its kernels
+    built = []
+    inner = oom._kernels
+
+    def counted(hmm):
+        built.append(hmm)
+        return inner(hmm)
+
+    monkeypatch.setattr(oom, "_kernels", counted)
+    hmm = make_parity_hmm(16, alpha=0.2)
+    bases = parity_class_bases(16)
+    construct_exact_operators(hmm, bases)
+    exact_coefficients(hmm, bases[3], (2, 1, 2))
+    assert len(built) == 2
+
+
 @pytest.mark.parametrize("horizon", [32, 64])
 def test_exact_operators_and_rank_past_the_enumeration_cap(horizon):
     # the check the exact-parity20 benchmark applies to a learned model

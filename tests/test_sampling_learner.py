@@ -193,6 +193,19 @@ def test_learn_sampling_parity_end_to_end():
     assert model.basis_sizes()[-1] == 1
 
 
+def test_learn_sampling_parity_cost_is_pinned():
+    # parity T=5 at the defaults, oracle seed 0: a change to the simulator's
+    # random stream moves the drawn bases and fails here
+    oracle = OracleHandle(make_parity_hmm(5, alpha=0.3), mode="sampling", seed=0)
+    _, report = learn_sampling(oracle, AlgoParams())
+    assert report["queries"]["total"] == 610_080
+    assert report["queries"]["by_history_length"] == {
+        0: 10080, 1: 40000, 2: 80000, 3: 160000, 4: 320000}
+    assert report["histories_cached"] == 31
+    assert [level["distinct_members"] for level in report["levels"][:-1]] == [
+        2, 4, 7, 12]
+
+
 def test_learn_sampling_is_deterministic_given_seed():
     def run():
         oracle = OracleHandle(ONE_STATE, mode="sampling", seed=11)
