@@ -39,19 +39,16 @@ type: an HMM resets its state belief to uniform at the step where the
 probability dies and keeps filtering (so conditionals stay well defined), while
 a :class:`TableDist` raises (there is no latent state to fall back on).
 
-An HMM's joint table needs no beliefs.  :func:`enumerate_joint` multiplies
-the unnormalised forward vectors of the first half of each sequence by the
-backward vectors of its second half, one ``(O**⌊T/2⌋, S) @ (S, O**⌈T/2⌉)``
-product, so the table reshaped at the split has rank at most ``S``.
-
-Every enumeration of conditionals goes through one layer.  The kernel is
-:meth:`Hmm.filter_batch`: from ``(N, S)`` beliefs it gives each symbol's
-probability and the ``(N·O, S)`` next beliefs, with the uniform reset of
-:meth:`Hmm.step`.  On it sits :func:`future_table`, the ``(n, O**length)``
-table of ``Pr[f | h]``, built either for all length-``t`` histories (with
-their joint probabilities, by running the kernel forward from ``mu``) or for
-an explicit list of histories.  Tables and learned-model wrappers fill the
-same table entry by entry through ``conditional_prob``.
+Every enumeration of an HMM runs on its linear representation
+``(μ, K_o, 1)`` (:func:`_kernels`): :func:`_forward` stacks the unnormalised
+forward vectors of all length-``t`` histories and :func:`_backward` the
+backward vectors of all length-``L`` futures.  :func:`enumerate_joint`
+multiplies the forward stack of each prefix's head by the backward stack of
+its tail.  On it sits :func:`future_table`, the
+``(n, O**length)`` table of ``Pr[f | h]``: for all length-``t`` histories it
+divides the rows of the joint table by their sums, for every type, so a
+zero-probability history gets a zero row; a listed HMM history's row is its
+filtered belief times the backward vectors.
 
 Beside that layer, an HMM's exact operators, coefficients and rank enumerate
 no future at all.  Every future conditional of a belief ``b`` is ``M_L b``,
@@ -309,29 +306,14 @@ class Hmm:
 
     # -- batched filtering -------------------------------------------------
 
-    def filter_batch(self, beliefs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One filtering step from every row of an ``(N, S)`` belief array.
-
-        Returns the ``(N, O)`` symbol probabilities and the ``(N·O, S)`` next
-        beliefs, row ``n·O + o - 1`` being row ``n`` after observing ``o``.
-        A zero-probability symbol resets its next belief to uniform, as
-        :meth:`step` does.
-        """
-        p_sym = beliefs @ self.emission.T  # (N, O)
-        w = beliefs[:, None, :] * self.emission[None, :, :]  # (N, O, S)
-        norm = np.maximum(p_sym[:, :, None], 1e-300)
-        nxt = (w / norm) @ self.transition.T  # (N, O, S)
-        nxt[p_sym <= 0.0] = 1.0 / self.n_states
-        return p_sym, nxt.reshape(-1, self.n_states)
-
     def row_conditionals(self, symbols) -> np.ndarray:
         """The row walk: ``(n, L, O)`` conditionals after every proper prefix.
 
         Entry ``[i, t]`` holds the next-symbol distribution after the first
         ``t`` symbols of row ``i`` of the ``(n, L)`` array ``symbols``.  Each
         column is one batched belief update (:meth:`_children`), with the
-        uniform reset of :meth:`filter_batch`, of every distinct prefix of
-        that length: rows that share a prefix share its belief.
+        uniform reset of :meth:`step`, of every distinct prefix of that
+        length: rows that share a prefix share its belief.
         """
         symbols = np.asarray(symbols, dtype=np.int64)
         n, length = symbols.shape
@@ -364,7 +346,7 @@ class Hmm:
         children and each row's child.  Children are numbered in increasing
         ``prefix·O + symbol - 1`` order: by parent, then by symbol.  Each is
         filtered once from its parent, with the uniform reset of
-        :meth:`filter_batch` after a zero-probability symbol.
+        :meth:`step` after a zero-probability symbol.
         """
         O = self.n_symbols
         child = node * O + symbols - 1
@@ -482,46 +464,64 @@ def _check_steps(length: int, steps: int | None) -> int:
 # ---------------------------------------------------------------------------
 
 
-def enumerate_joint(dist) -> np.ndarray:
-    """All ``O**T`` sequence probabilities in lexicographic order.
+def enumerate_joint(dist, length: int | None = None) -> np.ndarray:
+    """Probabilities of all ``O**length`` prefixes in lexicographic order.
 
-    An :class:`Hmm` splits each sequence into a prefix ``h`` of ``m = ⌊T/2⌋``
-    symbols and a future ``f`` of ``T - m``.  With the kernels ``K_o`` of
-    :func:`_kernels`, ``Pr[h·f]`` is the backward vector
-    ``1ᵀ K_{f_{T-m}}···K_{f_1}`` times the forward vector
-    ``K_{h_m}···K_{h_1} μ``, so the table reshaped ``O**m × O**(T-m)`` is the
-    ``(O**m, S) @ (S, O**(T-m))`` product of the two stacks and has rank at
-    most ``S``.  Both stacks are built in ``seq_to_index`` order, and the
-    prefix is the leading part of a sequence's index, so the flattened
-    product is the lexicographic table.  Nothing is normalised: a
-    zero-probability prefix has an exactly zero forward vector.  Learned-model
-    wrappers run their level walk; other distributions answer one
-    ``joint_prob`` per sequence.
+    ``length`` defaults to the horizon (the joint table); only ``O**length``
+    is checked against ``ENUM_CAP``, so short prefixes of any horizon work.
+    An :class:`Hmm` splits each prefix after ``m = ⌊length/2⌋`` symbols:
+    ``Pr[h·f]`` is the :func:`_backward` vector of the tail ``f`` times the
+    :func:`_forward` vector of the head ``h``, so the table reshaped
+    ``O**m × O**(length-m)`` is one product of the two stacks, of rank at
+    most ``S``.  Nothing is normalised: a zero-probability head has an
+    exactly zero forward vector.  A :class:`TableDist` sums its table over
+    the trailing symbols, learned-model wrappers run their level walk to
+    depth ``length``, and other distributions answer one ``joint_prob`` per
+    prefix.
     """
+    O = dist.n_symbols
+    length = dist.horizon if length is None else length
+    if not 0 <= length <= dist.horizon:
+        raise ValueError(f"length must lie in 0..{dist.horizon}")
+    _check_enum(O, length)
     if isinstance(dist, TableDist):
-        return dist.probs.copy()
-    O, T = dist.n_symbols, dist.horizon
-    _check_enum(O, T)
+        return dist.probs.reshape(O**length, -1).sum(axis=1)
     if isinstance(dist, Hmm):
-        kernels, S = _kernels(dist), dist.n_states
-        # row n·O + o - 1 of the next stack is K_o times row n
-        forward = dist.mu[None, :]
-        for _ in range(T // 2):
-            forward = (forward @ kernels.transpose(0, 2, 1)).transpose(
-                1, 0, 2).reshape(-1, S)
-        # row (o - 1)·N + n of the next stack is row n times K_o
-        backward = np.ones((1, S))
-        for _ in range(T - T // 2):
-            backward = (backward @ kernels).reshape(-1, S)
-        return (forward @ backward.T).reshape(-1)
+        kernels = _kernels(dist)
+        forward = _forward(dist.mu, kernels, length // 2)
+        return (forward @ _backward(kernels, length - length // 2).T).reshape(-1)
     if hasattr(dist, "prefix_levels"):  # learned-model wrappers
-        for _, probs, _ in dist.prefix_levels():
+        for _, probs, _ in dist.prefix_levels(length):
             pass
         return probs
-    out = np.empty(seq_count(O, T))
-    for i, seq in enumerate(all_seqs(O, T)):
-        out[i] = dist.joint_prob(seq)
-    return out
+    return np.array([dist.joint_prob(seq) for seq in all_seqs(O, length)],
+                    dtype=float)
+
+
+def _forward(mu: np.ndarray, kernels: np.ndarray, t: int) -> np.ndarray:
+    """``(O**t, S)``: the forward vector ``K_{h_t}···K_{h_1} μ`` of every
+    length-``t`` history ``h``, rows in ``seq_to_index`` order."""
+    S = kernels.shape[1]
+    forward = mu[None, :]
+    for _ in range(t):
+        # row n·O + o - 1 of the next stack is K_o times row n
+        forward = (forward @ kernels.transpose(0, 2, 1)).transpose(
+            1, 0, 2).reshape(-1, S)
+    return forward
+
+
+def _backward(kernels: np.ndarray, length: int) -> np.ndarray:
+    """``(O**length, S)``: the backward vector ``1ᵀ K_{f_length}···K_{f_1}`` of
+    every length-``length`` future ``f``, rows in ``seq_to_index`` order.
+
+    Row ``f`` times a belief is ``Pr[f | belief]``.
+    """
+    S = kernels.shape[1]
+    backward = np.ones((1, S))
+    for _ in range(length):
+        # row (o - 1)·N + n of the next stack is row n times K_o
+        backward = (backward @ kernels).reshape(-1, S)
+    return backward
 
 
 def future_table(dist, length: int, histories: list[Seq] | None = None,
@@ -529,13 +529,22 @@ def future_table(dist, length: int, histories: list[Seq] | None = None,
     """``(joint, table)``: ``joint[i] = Pr[h_i]``, ``table[i, j] = Pr[f_j | h_i]``.
 
     Histories are all of length ``t`` in lexicographic order, or the given
-    list; futures are all of length ``length``, in lexicographic order.  An
-    :class:`Hmm` runs :meth:`Hmm.filter_batch` forward from ``mu`` for all
-    length-``t`` histories; a listed history is filtered by the one-sequence
-    prefix walk and its row is expanded on its own, so it does not depend on
-    the rest of the list.  Zero-probability HMM histories follow the uniform
-    reset.  Other distributions answer one ``conditional_prob`` per entry,
-    leaving zero rows for zero-probability histories of length ``t``.
+    list; futures are all of length ``length``, in lexicographic order.
+
+    For all length-``t`` histories, every type goes through
+    :func:`enumerate_joint` at length ``t + length``: ``joint`` is each
+    history's row sum and a row is divided by it, so only ``O**(t + length)``
+    is checked against ``ENUM_CAP``.  A zero-probability history gets a zero
+    row, whatever the type.
+
+    A listed history is conditioned by the type's own convention.  An
+    :class:`Hmm` filters it by the one-sequence prefix walk and multiplies
+    its belief by the :func:`_backward` vectors, one row at a time, so a row
+    does not depend on the rest of the list; a zero-probability history
+    conditions from the uniform reset of :meth:`Hmm.step`.  Other
+    distributions answer one ``conditional_prob`` per entry, so a
+    :class:`TableDist` raises :class:`ZeroProbabilityHistory` on a
+    zero-probability history.
     """
     if (histories is None) == (t is None):
         raise ValueError("pass exactly one of histories and t")
@@ -543,49 +552,29 @@ def future_table(dist, length: int, histories: list[Seq] | None = None,
     if histories is None:
         if not 0 <= t <= dist.horizon - length:
             raise ValueError("history plus future exceed horizon")
-        _check_enum(O, t + length)
-        if isinstance(dist, Hmm):
-            joint, beliefs = _tree_probs(dist, dist.mu[None, :], t,
-                                         keep_beliefs=True)
-            return joint[0], _tree_probs(dist, beliefs, length)[0]
-        histories = list(all_seqs(O, t))
-    else:
-        histories = [tuple(h) for h in histories]
-        if any(len(h) + length > dist.horizon for h in histories):
-            raise ValueError("history plus future exceed horizon")
-        _check_enum(O, length)
-        if isinstance(dist, Hmm):
-            joint = np.empty(len(histories))
-            table = np.empty((len(histories), seq_count(O, length)))
-            for i, h in enumerate(histories):
-                belief, _, _, joint[i] = dist._walk(h)[-1]
-                table[i] = _tree_probs(dist, belief[None, :], length)[0][0]
-            return joint, table
-    joint = np.array([dist.joint_prob(h) for h in histories], dtype=float)
+        table = enumerate_joint(dist, t + length).reshape(O**t, -1)
+        joint = table.sum(axis=1)
+        live = joint > 0.0
+        table[live] /= joint[live, None]
+        table[~live] = 0.0
+        return joint, table
+    histories = [tuple(h) for h in histories]
+    if any(len(h) + length > dist.horizon for h in histories):
+        raise ValueError("history plus future exceed horizon")
+    _check_enum(O, length)
+    joint = np.empty(len(histories))
+    table = np.empty((len(histories), seq_count(O, length)))
+    if isinstance(dist, Hmm):
+        backward = _backward(_kernels(dist), length)
+        for i, h in enumerate(histories):
+            belief, _, _, joint[i] = dist._walk(h)[-1]
+            table[i] = belief @ backward.T
+        return joint, table
     futures = list(all_seqs(O, length))
-    table = np.zeros((len(histories), len(futures)))
     for i, h in enumerate(histories):
-        if t is None or joint[i] > 0.0:
-            table[i] = [dist.conditional_prob(h, f) for f in futures]
+        joint[i] = dist.joint_prob(h)
+        table[i] = [dist.conditional_prob(h, f) for f in futures]
     return joint, table
-
-
-def _tree_probs(hmm: Hmm, beliefs: np.ndarray, length: int,
-                keep_beliefs: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Probabilities of every length-``length`` continuation of each belief.
-
-    Returns the ``(N, O**length)`` probabilities and the beliefs after each
-    continuation, ``(N·O**length, S)``; the last step skips computing those
-    beliefs unless ``keep_beliefs`` asks for them.
-    """
-    probs = np.ones((beliefs.shape[0], 1))
-    for step in range(length):
-        if keep_beliefs or step + 1 < length:
-            p_sym, beliefs = hmm.filter_batch(beliefs)
-        else:
-            p_sym = beliefs @ hmm.emission.T
-        probs = (probs.reshape(-1, 1) * p_sym).reshape(probs.shape[0], -1)
-    return probs, beliefs
 
 
 def numerical_rank(mat: np.ndarray, tol: float) -> int:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .distributions import _check_enum, enumerate_joint, future_table
 from .oom import OomModel, level_walk
-from .sequences import Seq, all_seqs, seq_count, seq_to_index
+from .sequences import Seq, all_seqs, rows_as_seqs, seq_count, seq_to_index
 
 EIG_REL_CUTOFF = 1e-10
 
@@ -70,13 +70,13 @@ def tv_conditional_bound(p, q, n_samples: int = 0,
 
     ``ε'`` is the worst expected one-step conditional gap between ``q`` and
     ``p`` under ``p``-distributed prefixes — enumerated exactly with
-    ``exact=True``, otherwise estimated from ``n_samples`` joint draws.  The
-    draws are taken one at a time, so the random stream is that of drawing
-    and checking each in turn.  Both sides then answer all their prefixes in
-    one ``row_conditionals`` walk of the ``(n, T)`` draw array (an HMM's
-    batched belief updates, a learned-model wrapper's row walk); a ``q``
-    without it asks ``next_symbol_probs`` per prefix, and a ``p`` without it
-    a :func:`future_table` of each draw's prefixes.
+    ``exact=True``, otherwise estimated from ``n_samples`` joint draws,
+    taken as one ``p.sample_futures`` batch: an ``(n, T)`` draw array.
+    Both sides then answer all their prefixes in one ``row_conditionals``
+    walk of that array (an HMM's batched belief updates, a learned-model
+    wrapper's row walk); a ``q`` without it asks ``next_symbol_probs`` per
+    prefix, and a ``p`` without it a :func:`future_table` of each draw's
+    prefixes.
     """
     O, T = p.n_symbols, p.horizon
     if exact:
@@ -84,18 +84,17 @@ def tv_conditional_bound(p, q, n_samples: int = 0,
     else:
         if rng is None or n_samples <= 0:
             raise ValueError("need samples (or exact=True)")
-        draws = [p.sample_conditional((), rng) for _ in range(n_samples)]
-        rows = np.array(draws, dtype=np.int64).reshape(n_samples, T)
+        rows = p.sample_futures((), rng, n_samples)
         if hasattr(q, "row_conditionals"):
             q_next = q.row_conditionals(rows)
         else:
             q_next = np.array([[q.next_symbol_probs(x[:t]) for t in range(T)]
-                               for x in draws])
+                               for x in rows_as_seqs(rows, n_samples)])
         if hasattr(p, "row_conditionals"):
             p_next = p.row_conditionals(rows)
         else:
             p_next = np.array([future_table(p, 1, [x[:t] for t in range(T)])[1]
-                               for x in draws])
+                               for x in rows_as_seqs(rows, n_samples)])
         eps = float((np.abs(q_next - p_next).sum(axis=0) / n_samples).max())
     return (T + 1) * O * eps / 2.0
 

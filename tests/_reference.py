@@ -283,11 +283,13 @@ def conditional_gap_loop(p, q) -> float:
 
 
 def sampled_bound_loop(p, q, n_samples: int, rng: np.random.Generator) -> float:
-    """The sampled ``(T + 1) · O · ε' / 2`` bound, one draw checked at a time."""
+    """The sampled ``(T + 1) · O · ε' / 2`` bound, one draw checked at a time.
+
+    The draws are taken as one batch, the stream of ``tv_conditional_bound``.
+    """
     O, T = p.n_symbols, p.horizon
     totals = np.zeros((T, O))
-    for _ in range(n_samples):
-        x = p.sample_conditional((), rng)
+    for x in p.sample_conditional((), rng, n_samples):
         prefixes = [x[:t] for t in range(T)]
         _, p_next = future_table(p, 1, histories=prefixes)
         q_next = np.array([q.next_symbol_probs(h) for h in prefixes])

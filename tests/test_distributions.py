@@ -19,7 +19,11 @@ from condseq.distributions import (
     rank_of,
     save_hmm,
 )
-from condseq.generators import make_parity_hmm, parity_class_bases
+from condseq.generators import (
+    greedy_spanning_bases,
+    make_parity_hmm,
+    parity_class_bases,
+)
 from condseq.metrics import tv_exact
 from condseq.oom import construct_exact_operators, to_distribution
 from condseq.sequences import all_seqs, seq_to_index
@@ -90,8 +94,8 @@ def test_enumerate_joint_order_and_mass():
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 10_000), st.integers(2, 3), st.integers(1, 8),
        st.booleans())
-def test_enumerate_joint_matches_the_belief_tree(seed, n_symbols, horizon,
-                                                 zero_symbols):
+def test_enumerate_joint_matches_filtering_from_the_root(seed, n_symbols,
+                                                         horizon, zero_symbols):
     rng = np.random.default_rng(seed)
     if zero_symbols:
         hmm = random_hmm_with_zero_symbols(rng)
@@ -99,12 +103,53 @@ def test_enumerate_joint_matches_the_belief_tree(seed, n_symbols, horizon,
         hmm = random_hmm(rng, int(rng.integers(1, 4)), n_symbols, horizon)
     O, T = hmm.n_symbols, hmm.horizon
     got = enumerate_joint(hmm)
-    tree = future_table(hmm, T, t=0)[1][0]
-    np.testing.assert_allclose(got, tree, rtol=1e-12, atol=1e-15)
-    assert np.all(got[tree == 0.0] == 0.0)
+    steps = [math.prod(filter_from_root(hmm, seq)[1]) for seq in all_seqs(O, T)]
+    np.testing.assert_allclose(got, steps, rtol=1e-12, atol=1e-15)
+    assert np.all(got[np.array(steps) == 0.0] == 0.0)
     if O**T <= 81:
         want = [brute_force_joint(hmm, seq) for seq in all_seqs(O, T)]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.booleans(), st.data())
+def test_enumerate_joint_of_a_prefix_length_sums_the_trailing_symbols(
+        seed, zero_symbols, data):
+    rng = np.random.default_rng(seed)
+    if zero_symbols:
+        hmm = random_hmm_with_zero_symbols(rng)
+    else:
+        hmm = random_hmm(rng, int(rng.integers(1, 4)), int(rng.integers(2, 4)),
+                         int(rng.integers(1, 6)))
+    O, T = hmm.n_symbols, hmm.horizon
+    length = data.draw(st.integers(0, T))
+    model = construct_exact_operators(hmm, greedy_spanning_bases(hmm))
+    dists = [hmm, TableDist(enumerate_joint(hmm), n_symbols=O, horizon=T),
+             to_distribution(model, "raw"), to_distribution(model, "anchored")]
+    for dist in dists:
+        got = enumerate_joint(dist, length)
+        assert got.shape == (O**length,)
+        summed = enumerate_joint(dist).reshape(O**length, -1).sum(axis=1)
+        np.testing.assert_allclose(got, summed, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(
+            got, [dist.joint_prob(h) for h in all_seqs(O, length)],
+            rtol=1e-12, atol=1e-15)
+    with pytest.raises(ValueError):
+        enumerate_joint(hmm, T + 1)
+
+
+def test_long_horizons_enumerate_short_prefixes():
+    # only O**(t + length) is enumerated, not O**T
+    hmm = make_parity_hmm(40, alpha=0.2)
+    joint, table = future_table(hmm, 2, t=3)
+    np.testing.assert_allclose(joint, np.full(8, 1 / 8), rtol=1e-12)
+    np.testing.assert_allclose(table, np.full((8, 4), 1 / 4), rtol=1e-12)
+    np.testing.assert_allclose(enumerate_joint(hmm, 10),
+                               np.full(2**10, 2.0**-10), rtol=1e-12)
+    with pytest.raises(EnumerationCapError):
+        enumerate_joint(hmm, 21)
+    with pytest.raises(EnumerationCapError):
+        future_table(hmm, 11, t=10)
 
 
 def test_enumerate_joint_keeps_no_belief_per_prefix():
@@ -124,7 +169,7 @@ def test_tv_exact_of_an_hmm_filters_no_belief_batch(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the HMM's joint table filtered beliefs")
 
-    monkeypatch.setattr(Hmm, "filter_batch", refuse)
+    monkeypatch.setattr(Hmm, "_children", refuse)
     hmm = make_parity_hmm(16, alpha=0.2)
     learned = to_distribution(construct_exact_operators(hmm,
                                                         parity_class_bases(16)))
@@ -328,19 +373,24 @@ def test_future_table_matches_state_path_enumeration(seed):
                                            atol=1e-12)
 
 
-def test_future_table_zero_probability_histories_reset_to_uniform():
+def test_future_table_zero_probability_rows_are_zero_listed_hmm_rows_reset():
     hmm = _never_emits_two()
+    table_dist = TableDist(enumerate_joint(hmm), n_symbols=2, horizon=3)
     hists = list(all_seqs(2, 1))
     for length in range(3):
-        joint, table = future_table(hmm, length, t=1)
+        # every type: the zero-probability history (2,) gets a zero row
+        for dist in (hmm, table_dist):
+            joint, table = future_table(dist, length, t=1)
+            assert joint.tolist() == [1.0, 0.0]
+            want = [hmm.conditional_prob((1,), f) for f in all_seqs(2, length)]
+            np.testing.assert_allclose(table[0], want, atol=1e-15)
+            assert table[1].tolist() == [0.0] * 2**length
+        # a listed HMM history conditions from the uniform reset
         _, listed = future_table(hmm, length, histories=hists)
-        assert joint.tolist() == [1.0, 0.0]
         for i, h in enumerate(hists):
             want = [hmm.conditional_prob(h, f) for f in all_seqs(2, length)]
-            np.testing.assert_allclose(table[i], want, atol=1e-15)
             np.testing.assert_allclose(listed[i], want, atol=1e-15)
-    # the reset row after (2,) is not all zero: it conditions from uniform
-    assert future_table(hmm, 1, t=1)[1][1].tolist() == [1.0, 0.0]
+    assert future_table(hmm, 1, histories=[(2,)])[1][0].tolist() == [1.0, 0.0]
 
 
 def test_future_table_rows_from_a_list_do_not_depend_on_the_list():

@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from condseq.distributions import EnumerationCapError, TableDist
+from condseq.distributions import (
+    EnumerationCapError,
+    Hmm,
+    TableDist,
+    enumerate_joint,
+)
 from condseq.generators import (
     greedy_spanning_bases,
     make_parity_hmm,
@@ -32,7 +37,12 @@ from condseq.metrics import (
 )
 from condseq.sequences import all_seqs
 
-from _reference import gram_spectrum, parity_reference_prob, random_hmm
+from _reference import (
+    gram_spectrum,
+    parity_reference_prob,
+    random_hmm,
+    random_hmm_with_zero_symbols,
+)
 
 HAND = TableDist(np.array([0.1, 0.2, 0.3, 0.4]), n_symbols=2, horizon=2)
 SHIFTED = TableDist(np.array([0.2, 0.1, 0.3, 0.4]), n_symbols=2, horizon=2)
@@ -271,3 +281,40 @@ def test_referee_modules_import_no_learner_code():
     learner = {"exact_learner", "sampling_learner", "estimation",
                "approx_basis", "oracles"}
     assert not {f"condseq.{m}" for m in learner} & set(loaded)
+
+
+def _assert_same_referee(hmm, bases):
+    """Fidelity and span residuals of an HMM equal those of its joint table."""
+    table = TableDist(enumerate_joint(hmm), hmm.n_symbols, hmm.horizon)
+    got, want = fidelity_for_bases(hmm, bases), fidelity_for_bases(table, bases)
+    np.testing.assert_allclose(got.sigmas, want.sigmas, rtol=1e-12, atol=1e-15)
+    for a, b in zip(got.spectra, want.spectra):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
+    for members in bases:
+        assert expected_span_residual(hmm, members) == pytest.approx(
+            expected_span_residual(table, members), rel=1e-12, abs=1e-15)
+    return got
+
+
+def test_zero_probability_basis_members_weigh_nothing():
+    # symbol 2 is never emitted, so (2,) and (2, 2) have probability zero
+    hmm = Hmm(mu=[1.0, 0.0], emission=[[1.0, 1.0], [0.0, 0.0]],
+              transition=[[0.2, 0.6], [0.8, 0.4]], horizon=3)
+    bases = [[()], [(1,), (2,)], [(1, 1), (2, 2)], [(1, 1, 1)]]
+    assert _assert_same_referee(hmm, bases).sigmas == pytest.approx([1.0] * 4)
+
+
+@given(st.integers(0, 10_000))
+def test_hmm_and_its_table_agree_on_zero_probability_basis_members(seed):
+    rng = np.random.default_rng(seed)
+    hmm = random_hmm_with_zero_symbols(rng)
+    O, T = hmm.n_symbols, hmm.horizon
+    bases = []
+    for t in range(T + 1):
+        hists = list(all_seqs(O, t))
+        dead = [h for h in hists if hmm.joint_prob(h) == 0.0]
+        live = [h for h in hists if hmm.joint_prob(h) > 0.0]
+        picked = rng.choice(len(live), size=int(rng.integers(1, len(live) + 1)),
+                            replace=False)
+        bases.append([live[i] for i in sorted(picked)] + dead[:1])
+    _assert_same_referee(hmm, bases)

@@ -151,7 +151,7 @@ def test_belief_space_paths_enumerate_nothing(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("an HMM path enumerated futures")
 
-    monkeypatch.setattr(Hmm, "filter_batch", refuse)
+    monkeypatch.setattr(Hmm, "_children", refuse)
     for module in (distributions, oom):
         monkeypatch.setattr(module, "future_table", refuse)
     hmm = make_parity_hmm(16, alpha=0.2)
