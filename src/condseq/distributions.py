@@ -9,8 +9,7 @@ package:
 - ``next_symbol_probs(history)``,
 - ``sample_futures(history, rng, size, steps=None)``, the one simulator: a
   ``(size, steps)`` int64 array holding the first ``steps`` symbols of
-  ``size`` futures of ``history`` (all ``T - len(history)`` by default),
-- ``sample_conditional(history, rng, size=None)``, the same draws as tuples.
+  ``size`` futures of ``history`` (all ``T - len(history)`` by default).
 
 An :class:`Hmm` and the learned-model wrappers
 (:func:`condseq.oom.to_distribution`) also offer the batched row walk
@@ -34,21 +33,24 @@ row walk :meth:`Hmm.row_conditionals`, share one distinct-prefix step,
 :meth:`Hmm._children`: rows that share a prefix share its belief, so each
 step filters one belief per distinct prefix, however many rows there are.
 
-Conditioning on a zero-probability history follows different conventions per
-type: an HMM resets its state belief to uniform at the step where the
-probability dies and keeps filtering (so conditionals stay well defined), while
-a :class:`TableDist` raises (there is no latent state to fall back on).
+Conditioning on a zero-probability history has two rules.  Oracle answers
+(``conditional_prob``, ``next_symbol_probs``, ``sample_futures``,
+``row_conditionals``) keep the type's convention: an HMM resets its state
+belief to uniform at the step where the probability dies and keeps filtering,
+while a :class:`TableDist` raises :class:`ZeroProbabilityHistory`.  The
+referee (:func:`future_table`, :func:`rank_of`,
+:func:`condseq.metrics.sigma_matrix` and the exact operators and coefficients
+of :mod:`condseq.oom`) uses one rule for every type: a zero-probability
+history weighs nothing.  Its future conditionals are a zero row, and an HMM's
+belief of it is the zero vector (:func:`_beliefs`).
 
 Every enumeration of an HMM runs on its linear representation
 ``(μ, K_o, 1)`` (:func:`_kernels`): :func:`_forward` stacks the unnormalised
 forward vectors of all length-``t`` histories and :func:`_backward` the
 backward vectors of all length-``L`` futures.  :func:`enumerate_joint`
 multiplies the forward stack of each prefix's head by the backward stack of
-its tail.  On it sits :func:`future_table`, the
-``(n, O**length)`` table of ``Pr[f | h]``: for all length-``t`` histories it
-divides the rows of the joint table by their sums, for every type, so a
-zero-probability history gets a zero row; a listed HMM history's row is its
-filtered belief times the backward vectors.
+its tail.  On it sits :func:`future_table`, the ``(n, O**length)`` table of
+``Pr[f | h]``.
 
 Beside that layer, an HMM's exact operators, coefficients and rank enumerate
 no future at all.  Every future conditional of a belief ``b`` is ``M_L b``,
@@ -58,13 +60,10 @@ most ``S`` dimensions.  :func:`_observable_bases` gives orthonormal bases
 :func:`condseq.oom.construct_exact_operators` and
 :func:`condseq.oom.exact_coefficients`, and :func:`rank_of` ranks
 ``Q_Lᵀ`` times the reachable forward vectors.  These work at any horizon.
-``rank_of`` counts positive-probability histories only, for every type, so
-an HMM and the table of its joint probabilities have the same rank; the
-uniform reset of a zero-probability HMM history adds no direction.
 
 Single sequences go through one prefix walk, ``Hmm._walk``, under
 ``forward_filter``, ``joint_prob``, ``conditional_prob``,
-``next_symbol_probs`` and the listed-history path of :func:`future_table`.
+``next_symbol_probs`` and :func:`_beliefs`.
 It walks from the root, keeping only the path of the previous call, so a
 query that shares a prefix with the one before it (an exact oracle asks
 ``Pr[x·λ]`` for many tests ``λ`` of one prefix ``x``) filters only the
@@ -81,7 +80,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sequences import Seq, all_seqs, rows_as_seqs, seq_count
+from .sequences import Seq, all_seqs, seq_count, seq_to_index
 
 # Guard for every exhaustive enumeration over O^T sequences.
 ENUM_CAP = 2**20
@@ -298,12 +297,6 @@ class Hmm:
             rng.random(size * (length - steps))
         return out
 
-    def sample_conditional(self, history: Seq, rng: np.random.Generator,
-                           size: int | None = None):
-        """Future(s) of ``history`` as one tuple (``size=None``) or a list."""
-        k = 1 if size is None else size
-        return rows_as_seqs(self.sample_futures(history, rng, k), size)
-
     # -- batched filtering -------------------------------------------------
 
     def row_conditionals(self, symbols) -> np.ndarray:
@@ -437,12 +430,6 @@ class TableDist:
                                              dtype=np.int64)
         return (idx[:, None] // powers) % self.n_symbols + 1
 
-    def sample_conditional(self, history: Seq, rng: np.random.Generator,
-                           size: int | None = None):
-        """Future(s) of ``history`` as one tuple (``size=None``) or a list."""
-        k = 1 if size is None else size
-        return rows_as_seqs(self.sample_futures(history, rng, k), size)
-
 
 def _read_only(values) -> np.ndarray:
     arr = np.array(values, dtype=float)
@@ -529,22 +516,18 @@ def future_table(dist, length: int, histories: list[Seq] | None = None,
     """``(joint, table)``: ``joint[i] = Pr[h_i]``, ``table[i, j] = Pr[f_j | h_i]``.
 
     Histories are all of length ``t`` in lexicographic order, or the given
-    list; futures are all of length ``length``, in lexicographic order.
+    list; futures are all of length ``length``, in lexicographic order.  A
+    zero-probability history gets a zero row, whatever the type.
 
     For all length-``t`` histories, every type goes through
     :func:`enumerate_joint` at length ``t + length``: ``joint`` is each
     history's row sum and a row is divided by it, so only ``O**(t + length)``
-    is checked against ``ENUM_CAP``.  A zero-probability history gets a zero
-    row, whatever the type.
+    is checked against ``ENUM_CAP``.
 
-    A listed history is conditioned by the type's own convention.  An
-    :class:`Hmm` filters it by the one-sequence prefix walk and multiplies
-    its belief by the :func:`_backward` vectors, one row at a time, so a row
-    does not depend on the rest of the list; a zero-probability history
-    conditions from the uniform reset of :meth:`Hmm.step`.  Other
-    distributions answer one ``conditional_prob`` per entry, so a
-    :class:`TableDist` raises :class:`ZeroProbabilityHistory` on a
-    zero-probability history.
+    A listed :class:`Hmm` history's row is its :func:`_beliefs` belief times
+    the :func:`_backward` vectors, one row at a time, so a row does not
+    depend on the rest of the list.  Other distributions read each listed
+    history's row off the ``t=`` table of its length, built once per length.
     """
     if (histories is None) == (t is None):
         raise ValueError("pass exactly one of histories and t")
@@ -562,19 +545,38 @@ def future_table(dist, length: int, histories: list[Seq] | None = None,
     if any(len(h) + length > dist.horizon for h in histories):
         raise ValueError("history plus future exceed horizon")
     _check_enum(O, length)
-    joint = np.empty(len(histories))
     table = np.empty((len(histories), seq_count(O, length)))
     if isinstance(dist, Hmm):
+        joint, beliefs = _beliefs(dist, histories)
         backward = _backward(_kernels(dist), length)
-        for i, h in enumerate(histories):
-            belief, _, _, joint[i] = dist._walk(h)[-1]
+        for i, belief in enumerate(beliefs):
             table[i] = belief @ backward.T
         return joint, table
-    futures = list(all_seqs(O, length))
+    joint = np.empty(len(histories))
+    levels = {n: future_table(dist, length, t=n)
+              for n in {len(h) for h in histories}}
     for i, h in enumerate(histories):
-        joint[i] = dist.joint_prob(h)
-        table[i] = [dist.conditional_prob(h, f) for f in futures]
+        level_joint, level_table = levels[len(h)]
+        k = seq_to_index(h, O)
+        joint[i], table[i] = level_joint[k], level_table[k]
     return joint, table
+
+
+def _beliefs(hmm: Hmm, histories: list[Seq]) -> tuple[np.ndarray, np.ndarray]:
+    """``(joint, beliefs)``: each history's probability and ``(n, S)`` belief.
+
+    One ``Hmm._walk`` per history.  A history has probability zero when one
+    of its symbols has probability zero given the ones before it, which no
+    underflow fakes; its belief is zero, not the uniform reset of
+    :meth:`Hmm.step`.
+    """
+    joint = np.empty(len(histories))
+    beliefs = np.empty((len(histories), hmm.n_states))
+    for i, h in enumerate(histories):
+        beliefs[i], _, log_prob, joint[i] = hmm._walk(h)[-1]
+        if log_prob == -math.inf:
+            beliefs[i] = 0.0
+    return joint, beliefs
 
 
 def numerical_rank(mat: np.ndarray, tol: float) -> int:
@@ -596,8 +598,7 @@ def rank_of(dist, tol: float = 1e-8) -> int:
     The matrix at split ``t = 1..T-1`` holds ``Pr[f | h]`` for every
     positive-probability length-``t`` history ``h`` and every future ``f`` of
     each length ``1..T-t``; singular values below ``tol`` times the largest
-    count as zero.  Zero-probability histories never count, whatever the
-    type's conditioning convention.
+    count as zero.  Zero-probability histories weigh nothing, for every type.
 
     An :class:`Hmm` enumerates nothing, so any horizon works: the matrix
     factors as the observable map ``M_{T-t}`` times the reachable forward

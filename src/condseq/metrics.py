@@ -75,8 +75,8 @@ def tv_conditional_bound(p, q, n_samples: int = 0,
     Both sides then answer all their prefixes in one ``row_conditionals``
     walk of that array (an HMM's batched belief updates, a learned-model
     wrapper's row walk); a ``q`` without it asks ``next_symbol_probs`` per
-    prefix, and a ``p`` without it a :func:`future_table` of each draw's
-    prefixes.
+    prefix, and a ``p`` without it reads each level's :func:`future_table`
+    once and picks its rows by prefix code.
     """
     O, T = p.n_symbols, p.horizon
     if exact:
@@ -93,8 +93,11 @@ def tv_conditional_bound(p, q, n_samples: int = 0,
         if hasattr(p, "row_conditionals"):
             p_next = p.row_conditionals(rows)
         else:
-            p_next = np.array([future_table(p, 1, [x[:t] for t in range(T)])[1]
-                               for x in rows_as_seqs(rows, n_samples)])
+            p_next = np.empty((n_samples, T, O))
+            codes = np.zeros(n_samples, dtype=np.int64)
+            for t in range(T):
+                p_next[:, t] = future_table(p, 1, t=t)[1][codes]
+                codes = codes * O + rows[:, t] - 1
         eps = float((np.abs(q_next - p_next).sum(axis=0) / n_samples).max())
     return (T + 1) * O * eps / 2.0
 
@@ -185,17 +188,19 @@ class _Level:
 def sigma_matrix(dist, members: list[Seq]) -> np.ndarray:
     """Preconditioned basis covariance ``Σ_B = P_Bᵀ D̄⁻¹ P_B``.
 
-    ``D̄`` averages the members' future conditionals (with multiplicity), so a
-    singleton basis gives exactly ``[[1]]``.  Futures with zero average are
-    skipped.
+    ``D̄`` averages the future conditionals of the positive-probability
+    members (with multiplicity), so a singleton basis gives exactly
+    ``[[1]]``.  A zero-probability member weighs nothing, for every type: its
+    row of ``P_B`` is zero, so it adds a zero row and column.  Futures with
+    zero average are skipped.
     """
     if not members:
         raise ValueError("empty basis")
     t = len(members[0])
     if any(len(b) != t for b in members):
         raise ValueError("basis members must share a length")
-    _, P = future_table(dist, dist.horizon - t, histories=members)
-    d_bar = P.mean(axis=0)
+    joint, P = future_table(dist, dist.horizon - t, histories=members)
+    d_bar = P.sum(axis=0) / max(np.count_nonzero(joint > 0.0), 1)
     keep = d_bar > 0.0
     Y = P[:, keep] / np.sqrt(d_bar[keep])
     return Y @ Y.T

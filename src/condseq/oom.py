@@ -44,8 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import (Hmm, _fmt, _kernels, _observable_bases, _TextLines,
-                            future_table)
+from .distributions import (Hmm, _beliefs, _fmt, _kernels, _observable_bases,
+                            _TextLines)
 from .sequences import Seq, format_seq, parse_seq
 
 RESIDUAL_TOL = 1e-9
@@ -171,67 +171,62 @@ def row_walk(operators: list[list[np.ndarray]], symbols: np.ndarray):
         yield coeffs
 
 
-def exact_coefficients(dist, members: list[Seq], history: Seq) -> np.ndarray:
+def exact_coefficients(hmm: Hmm, members: list[Seq], history: Seq) -> np.ndarray:
     """Min-norm coefficients expressing a history's future-conditionals.
 
-    Solves ``Pr[F | members] β = Pr[F | history]`` over exact-length futures in
-    the least-squares sense; with a spanning basis the residual is zero and
-    ``β`` sums to 1.  A table enumerates the futures.  An
-    :class:`~condseq.distributions.Hmm` solves the same system in the ``Q``
-    coordinates of :func:`construct_exact_operators`, where ``PINV_CUTOFF``
-    then acts.  That keeps the solution set of a solvable system; when the
-    members do not span the history (say a zero-probability history, whose
-    belief is the uniform reset) the least-squares ``β`` depends on the
-    coordinates and differs from the enumerated one.
+    Solves ``Pr[F | members] β = Pr[F | history]`` over exact-length futures
+    in the least-squares sense; with a spanning basis the residual is zero
+    and ``β`` sums to 1.  The system is solved in the ``Q`` coordinates of
+    :func:`construct_exact_operators`, where ``PINV_CUTOFF`` then acts; that
+    keeps the solution set of a solvable system.  A zero-probability member
+    has a zero column and so a zero coefficient, and a zero-probability
+    history has ``β = 0``.
     """
-    length = dist.horizon - len(history)
-    _, spans = _spans(dist, length)
-    table = _coordinates(dist, _level(dist, [*members, history], spans), length,
-                         spans)
+    _check_hmm(hmm)
+    span = _observable_bases(_kernels(hmm), hmm.horizon - len(history))[-1]
+    table = span.T @ _beliefs(hmm, [*members, history])[1].T
     beta, *_ = np.linalg.lstsq(table[:, :-1], table[:, -1], rcond=PINV_CUTOFF)
     return beta
 
 
-def construct_exact_operators(dist, bases: list[list[Seq]],
+def construct_exact_operators(hmm: Hmm, bases: list[list[Seq]],
                               test_seqs: list[list[Seq]] | None = None,
                               residual_tol: float = RESIDUAL_TOL) -> OomModel:
-    """Build exact operators for ``dist`` over the given per-level bases.
+    """Build exact operators for ``hmm`` over the given per-level bases.
 
     For every level the operator columns are the min-norm solutions of
 
         Pr[F_{t+1} | B_{t+1}] · A_{o,t}[:, b] = Pr[o · F_{t+1} | b],
 
-    ``F_{t+1}`` ranging over the futures of length ``T - t - 1``.  A table
-    enumerates those futures.  An :class:`~condseq.distributions.Hmm`
-    enumerates nothing: with the basis beliefs ``Bel_t`` of
-    :meth:`~condseq.distributions.Hmm.forward_filter` (uniform reset included),
-    ``K_o = transition · diag(emission[o])`` and the orthonormal basis ``Q``
-    of the length-``(T - t - 1)`` observable subspace, it solves
+    ``F_{t+1}`` ranging over the futures of length ``T - t - 1``.  Nothing
+    is enumerated: with the basis beliefs ``Bel_t`` of
+    :func:`~condseq.distributions._beliefs`, ``K_o = transition ·
+    diag(emission[o])`` and the orthonormal basis ``Q`` of the
+    length-``(T - t - 1)`` observable subspace, it solves
 
         (Qᵀ Bel_{t+1}) · A_{o,t} = Qᵀ K_o Bel_t,
 
-    which has the same solutions, so any horizon works.  ``residual_tol`` and
-    the ``PINV_CUTOFF`` of the solve then act on these ``Q`` coordinates, so
-    a residual differs from its enumerated value: a parity T=3 level-1 basis
-    missing one parity class leaves 0.187 here against 0.176 over the
-    enumerated futures.  A residual above ``residual_tol`` means the
-    level-``t+1`` basis does not span the needed conditionals, which is
-    reported rather than papered over.  One-step matrices (and test matrices,
-    when ``test_seqs`` is given) are stored alongside.
+    which has the same solutions, so any horizon works.  A zero-probability
+    member has a zero belief, so its operator column is zero.
+    ``residual_tol`` and the ``PINV_CUTOFF`` of the solve then act on these
+    ``Q`` coordinates, so a residual differs from its enumerated value: a
+    parity T=3 level-1 basis missing one parity class leaves 0.187 here
+    against 0.176 over the enumerated futures.  A residual above
+    ``residual_tol`` means the level-``t+1`` basis does not span the needed
+    conditionals, which is reported rather than papered over.  One-step
+    matrices (and test matrices ``Pr[λ | b]``, when ``test_seqs`` is given)
+    are stored alongside.
     """
-    O, T = dist.n_symbols, dist.horizon
-    kernels, spans = _spans(dist, T - 1)
+    _check_hmm(hmm)
+    O, T = hmm.n_symbols, hmm.horizon
+    kernels = _kernels(hmm)
+    spans = _observable_bases(kernels, T - 1)
+    # (S, n_t) beliefs of each level's members, each filtered once
+    levels = [_beliefs(hmm, members)[1].T for members in bases]
     operators: list[list[np.ndarray]] = []
-    step_matrices: list[np.ndarray] = []
-    # each level's members are filtered once, then read at two levels
-    members = _level(dist, bases[0], spans)
     for t in range(T):
-        following = _level(dist, bases[t + 1], spans)
-        p_next = _coordinates(dist, following, T - t - 1, spans)
-        steps, blocks = _continuations(dist, members, T - t - 1, spans,
-                                       kernels)
-        members = following
-        step_matrices.append(steps)
+        p_next = spans[T - t - 1].T @ levels[t + 1]
+        blocks = spans[T - t - 1].T @ kernels @ levels[t]
         per_symbol: list[np.ndarray] = []
         for o, rhs in enumerate(blocks, start=1):
             sol, *_ = np.linalg.lstsq(p_next, rhs, rcond=PINV_CUTOFF)
@@ -249,10 +244,11 @@ def construct_exact_operators(dist, bases: list[list[Seq]],
         test_matrices = []
         for t in range(T + 1):
             mat = np.array(
-                [[dist.conditional_prob(b, lam) for b in bases[t]]
+                [[hmm.conditional_prob(b, lam) for b in bases[t]]
                  for lam in test_seqs[t]]
             ).reshape(len(test_seqs[t]), len(bases[t]))
-            test_matrices.append(mat)
+            # a zero-probability member's column is zero, like its belief
+            test_matrices.append(mat * levels[t].any(axis=0))
 
     return OomModel(
         n_symbols=O,
@@ -261,65 +257,14 @@ def construct_exact_operators(dist, bases: list[list[Seq]],
         operators=operators,
         test_seqs=None if test_seqs is None else [list(s) for s in test_seqs],
         test_matrices=test_matrices,
-        step_matrices=step_matrices,
+        step_matrices=[hmm.emission @ beliefs for beliefs in levels[:T]],
     )
 
 
-def _spans(dist, depth: int) -> tuple[np.ndarray | None,
-                                     list[np.ndarray] | None]:
-    """An HMM's kernels and observable-subspace bases ``Q_0..Q_depth``.
-
-    The ``(O, S, S)`` kernels of :func:`~condseq.distributions._kernels` are
-    built once here and serve every level.  Other distributions get
-    ``(None, None)``.
-    """
+def _check_hmm(dist) -> None:
+    """Exact operators and coefficients are built in an HMM's belief space."""
     if not isinstance(dist, Hmm):
-        return None, None
-    kernels = _kernels(dist)
-    return kernels, _observable_bases(kernels, depth)
-
-
-def _level(dist, members: list[Seq], spans: list[np.ndarray] | None):
-    """The members as :func:`_coordinates` and :func:`_continuations` read them.
-
-    An HMM's are their ``(S, n)`` filtered beliefs, one column and one
-    :meth:`~condseq.distributions.Hmm.forward_filter` each; a table's are the
-    members themselves.
-    """
-    if spans is None:
-        return members
-    return np.array([dist.forward_filter(b).probs for b in members]).reshape(
-        len(members), dist.n_states).T
-
-
-def _coordinates(dist, members, length: int,
-                 spans: list[np.ndarray] | None) -> np.ndarray:
-    """``(d, n)``: column ``i`` holds the coordinates of ``Pr[F | members[i]]``.
-
-    ``members`` comes from :func:`_level`.  ``F`` ranges over the futures of
-    length ``length``: an HMM's coordinates are ``Q_lengthᵀ`` times the
-    member's belief, a table's the enumerated conditionals themselves.
-    """
-    if spans is not None:
-        return spans[length].T @ members
-    return future_table(dist, length, histories=members)[1].T
-
-
-def _continuations(dist, members, length: int, spans: list[np.ndarray] | None,
-                   kernels: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """``(steps, blocks)``: one-symbol continuations of the members.
-
-    ``members`` comes from :func:`_level`.  ``steps`` is ``(O, n)``,
-    ``steps[o - 1, i] = Pr[o | members[i]]``; ``blocks[o - 1]`` is ``(d, n)``,
-    the coordinates (as in :func:`_coordinates`) of ``Pr[o · F | members[i]]``
-    over the futures ``F`` of length ``length``.  An HMM's are
-    ``Q_lengthᵀ K_o`` times the belief, with the ``kernels`` of :func:`_spans`.
-    """
-    if spans is not None:
-        return dist.emission @ members, spans[length].T @ kernels @ members
-    table = future_table(dist, length + 1, histories=members)[1]
-    blocks = table.reshape(len(members), dist.n_symbols, -1).transpose(1, 2, 0)
-    return blocks.sum(axis=1), blocks
+        raise TypeError(f"exact operators need an Hmm, not {type(dist).__name__}")
 
 
 # ---------------------------------------------------------------------------

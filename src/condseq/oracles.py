@@ -9,7 +9,7 @@ truncated prefixes) are available in both modes and count one query per draw.
 Sampling queries come as arrays: ``sample_futures`` returns one row per drawn
 future and charges one query per row, however many of the future's symbols
 the caller asks for (a truncated draw is the prefix of a full one).
-``sample_query`` and ``sample_joint`` return the same draws as tuples.
+``sample_joint`` returns joint draws as tuples.
 
 Exact values are read only through ``exact_query``, one charged query each.
 ``prefetch`` is simulation, not a query: it charges nothing and returns
@@ -171,11 +171,6 @@ class OracleHandle:
         history = tuple(history)
         self._charge(size, len(history), "sample_queries")
         return self.dist.sample_futures(history, self.rng, size, steps)
-
-    def sample_query(self, history: Seq, size: int | None = None):
-        """:meth:`sample_futures` draws as one tuple (``size=None``) or a list."""
-        k = 1 if size is None else size
-        return rows_as_seqs(self.sample_futures(history, k), size)
 
     # -- both modes --------------------------------------------------------
 

@@ -17,8 +17,6 @@ import numpy as np
 
 Seq = tuple[int, ...]
 
-EMPTY: Seq = ()
-
 
 def all_seqs(n_symbols: int, length: int) -> Iterator[Seq]:
     """Yield every length-``length`` sequence in lexicographic order."""

@@ -16,7 +16,7 @@ import numpy as np
 from condseq.distributions import Hmm, TableDist, future_table, numerical_rank
 from condseq.exact_learner import EQ_TOL
 from condseq.oom import PINV_CUTOFF
-from condseq.sequences import all_seqs
+from condseq.sequences import all_seqs, rows_as_seqs
 
 
 def brute_force_joint(hmm: Hmm, seq) -> float:
@@ -66,6 +66,12 @@ def random_hmm_with_zero_symbols(rng: np.random.Generator) -> Hmm:
     transition = rng.dirichlet(np.ones(n_states), size=n_states).T
     return Hmm(mu=rng.dirichlet(np.ones(n_states)), emission=emission,
                transition=transition, horizon=horizon)
+
+
+def never_emits_two() -> Hmm:
+    """Two states, horizon 3, and symbol 2 has probability zero everywhere."""
+    return Hmm(mu=[1.0, 0.0], emission=[[1.0, 1.0], [0.0, 0.0]],
+               transition=[[0.2, 0.6], [0.8, 0.4]], horizon=3)
 
 
 def filter_from_root(hmm: Hmm, seq) -> tuple[np.ndarray, list[float], float]:
@@ -289,7 +295,7 @@ def sampled_bound_loop(p, q, n_samples: int, rng: np.random.Generator) -> float:
     """
     O, T = p.n_symbols, p.horizon
     totals = np.zeros((T, O))
-    for x in p.sample_conditional((), rng, n_samples):
+    for x in rows_as_seqs(p.sample_futures((), rng, n_samples), n_samples):
         prefixes = [x[:t] for t in range(T)]
         _, p_next = future_table(p, 1, histories=prefixes)
         q_next = np.array([q.next_symbol_probs(h) for h in prefixes])

@@ -26,7 +26,7 @@ from condseq.generators import (
 )
 from condseq.metrics import tv_exact
 from condseq.oom import construct_exact_operators, to_distribution
-from condseq.sequences import all_seqs, seq_to_index
+from condseq.sequences import all_seqs, rows_as_seqs, seq_to_index
 
 from _reference import (
     brute_force_joint,
@@ -34,6 +34,7 @@ from _reference import (
     filter_from_root,
     full_hmm_draws,
     full_table_draws,
+    never_emits_two,
     random_hmm,
     random_hmm_with_zero_symbols,
 )
@@ -176,16 +177,8 @@ def test_tv_exact_of_an_hmm_filters_no_belief_batch(monkeypatch):
     assert tv_exact(hmm, learned) <= 1e-9
 
 
-def _never_emits_two() -> Hmm:
-    # two states, symbol 2 has probability zero everywhere
-    return Hmm(mu=[1.0, 0.0],
-               emission=[[1.0, 1.0], [0.0, 0.0]],
-               transition=[[0.2, 0.6], [0.8, 0.4]],
-               horizon=3)
-
-
 def test_hmm_zero_probability_history_resets_belief_to_uniform():
-    hmm = _never_emits_two()
+    hmm = never_emits_two()
     state = hmm.forward_filter((2,))
     assert state.log_prob == -math.inf
     np.testing.assert_allclose(state.probs, [0.5, 0.5])
@@ -211,7 +204,7 @@ def test_table_zero_history_raises():
     with pytest.raises(ZeroProbabilityHistory):
         d.next_symbol_probs((1,))
     with pytest.raises(ZeroProbabilityHistory):
-        d.sample_conditional((1,), np.random.default_rng(0))
+        d.sample_futures((1,), np.random.default_rng(0), 1)
 
 
 def test_table_validation():
@@ -278,21 +271,21 @@ def test_hmm_from_text_rejects_bad_header():
 
 def test_table_sampling_frequencies():
     rng = np.random.default_rng(42)
-    draws = HAND_TABLE.sample_conditional((), rng, size=4000)
+    draws = HAND_TABLE.sample_futures((), rng, 4000)
     counts = np.zeros(4)
-    for seq in draws:
+    for seq in rows_as_seqs(draws, 4000):
         counts[seq_to_index(seq, 2)] += 1
     np.testing.assert_allclose(counts / 4000, HAND_TABLE.probs, atol=0.03)
-    single = HAND_TABLE.sample_conditional((), rng)
+    single = rows_as_seqs(HAND_TABLE.sample_futures((), rng, 1), None)
     assert isinstance(single, tuple) and len(single) == 2
 
 
 def test_hmm_sampling_matches_conditionals():
     rng = np.random.default_rng(9)
     hmm = random_hmm(rng, 2, 2, 3)
-    draws = hmm.sample_conditional((1,), rng, size=4000)
-    assert all(len(f) == 2 for f in draws)
-    freq_first = np.mean([f[0] == 1 for f in draws])
+    draws = hmm.sample_futures((1,), rng, 4000)
+    assert draws.shape == (4000, 2)
+    freq_first = np.mean(draws[:, 0] == 1)
     expected = hmm.conditional_prob((1,), (1,))
     assert freq_first == pytest.approx(expected, abs=0.03)
 
@@ -322,13 +315,13 @@ def test_truncated_draws_are_prefixes_of_full_draws(dist, full_draws):
 
 
 @STREAM_CASES
-def test_sample_conditional_is_the_tuple_edge(dist, full_draws):
+def test_sampled_rows_as_tuples_are_the_full_draws(dist, full_draws):
     new_rng, old_rng = np.random.default_rng(3), np.random.default_rng(3)
-    assert dist.sample_conditional((1,), new_rng, size=40) == full_draws(
-        dist, (1,), old_rng, 40)
-    assert dist.sample_conditional((1,), new_rng) == full_draws(
-        dist, (1,), old_rng, 1)[0]
-    assert dist.sample_conditional((1,), new_rng, size=0) == []
+    draws = dist.sample_futures((1,), new_rng, 40)
+    assert rows_as_seqs(draws, 40) == full_draws(dist, (1,), old_rng, 40)
+    single = dist.sample_futures((1,), new_rng, 1)
+    assert rows_as_seqs(single, None) == full_draws(dist, (1,), old_rng, 1)[0]
+    assert rows_as_seqs(dist.sample_futures((1,), new_rng, 0), 0) == []
     with pytest.raises(ValueError):
         dist.sample_futures((1,), new_rng, 5, steps=dist.horizon)
     with pytest.raises(ValueError):
@@ -373,24 +366,24 @@ def test_future_table_matches_state_path_enumeration(seed):
                                            atol=1e-12)
 
 
-def test_future_table_zero_probability_rows_are_zero_listed_hmm_rows_reset():
-    hmm = _never_emits_two()
+def test_future_table_zero_probability_rows_are_zero():
+    hmm = never_emits_two()
     table_dist = TableDist(enumerate_joint(hmm), n_symbols=2, horizon=3)
     hists = list(all_seqs(2, 1))
     for length in range(3):
-        # every type: the zero-probability history (2,) gets a zero row
+        # every type, listed or not: the zero-probability history (2,) gets a
+        # zero row
         for dist in (hmm, table_dist):
-            joint, table = future_table(dist, length, t=1)
-            assert joint.tolist() == [1.0, 0.0]
-            want = [hmm.conditional_prob((1,), f) for f in all_seqs(2, length)]
-            np.testing.assert_allclose(table[0], want, atol=1e-15)
-            assert table[1].tolist() == [0.0] * 2**length
-        # a listed HMM history conditions from the uniform reset
-        _, listed = future_table(hmm, length, histories=hists)
-        for i, h in enumerate(hists):
-            want = [hmm.conditional_prob(h, f) for f in all_seqs(2, length)]
-            np.testing.assert_allclose(listed[i], want, atol=1e-15)
-    assert future_table(hmm, 1, histories=[(2,)])[1][0].tolist() == [1.0, 0.0]
+            for joint, table in (future_table(dist, length, t=1),
+                                 future_table(dist, length, histories=hists)):
+                assert joint.tolist() == [1.0, 0.0]
+                want = [hmm.conditional_prob((1,), f)
+                        for f in all_seqs(2, length)]
+                np.testing.assert_allclose(table[0], want, atol=1e-15)
+                assert table[1].tolist() == [0.0] * 2**length
+    # the oracle-facing one-row answer keeps the uniform reset
+    assert hmm.next_symbol_probs((2,)).tolist() == [1.0, 0.0]
+    assert future_table(hmm, 1, histories=[(2,)])[1][0].tolist() == [0.0, 0.0]
 
 
 def test_future_table_rows_from_a_list_do_not_depend_on_the_list():
@@ -411,8 +404,14 @@ def test_future_table_tables_and_validation():
     np.testing.assert_allclose(table, [[1 / 3, 2 / 3], [3 / 7, 4 / 7]])
     zero = TableDist(np.array([0.0, 0.0, 0.6, 0.4]), n_symbols=2, horizon=2)
     np.testing.assert_allclose(future_table(zero, 1, t=1)[1], [[0, 0], [0.6, 0.4]])
-    with pytest.raises(ZeroProbabilityHistory):
-        future_table(zero, 1, histories=[(1,)])
+    joint, table = future_table(zero, 1, histories=[(2,), (1,), (2,)])
+    assert joint.tolist() == [1.0, 0.0, 1.0]
+    np.testing.assert_allclose(table, [[0.6, 0.4], [0, 0], [0.6, 0.4]])
+    joint, table = future_table(HAND_TABLE, 1, histories=[(2,), ()])
+    np.testing.assert_allclose(joint, [0.7, 1.0])
+    np.testing.assert_allclose(table, [[3 / 7, 4 / 7], [0.3, 0.7]])
+    with pytest.raises(ValueError):
+        future_table(HAND_TABLE, 1, histories=[(3,)])
     with pytest.raises(ValueError):
         future_table(HAND_TABLE, 1)
     with pytest.raises(ValueError):
@@ -489,7 +488,7 @@ def test_sampler_matches_row_by_row_simulation(data):
                          data.draw(st.integers(1, 8)))
     else:
         hmm = (random_hmm_with_zero_symbols(rng) if kind == "zero symbols"
-               else _never_emits_two())
+               else never_emits_two())
     O, T = hmm.n_symbols, hmm.horizon
     # zero-probability histories included: the sampler starts from the reset
     history = tuple(data.draw(st.lists(st.integers(1, O), max_size=T)))
@@ -548,7 +547,7 @@ def test_hmm_parameters_and_beliefs_are_read_only():
 
 
 def test_hmm_rejects_symbols_outside_the_alphabet():
-    hmm = _never_emits_two()
+    hmm = never_emits_two()
     want = hmm.joint_prob((1, 1))
     for bad in [(0,), (1, 3), (1, -1)]:
         with pytest.raises(ValueError, match="outside 1..2"):

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from condseq import metrics
 from condseq.distributions import (
     EnumerationCapError,
-    Hmm,
     TableDist,
     enumerate_joint,
 )
@@ -39,9 +39,11 @@ from condseq.sequences import all_seqs
 
 from _reference import (
     gram_spectrum,
+    never_emits_two,
     parity_reference_prob,
     random_hmm,
     random_hmm_with_zero_symbols,
+    sampled_bound_loop,
 )
 
 HAND = TableDist(np.array([0.1, 0.2, 0.3, 0.4]), n_symbols=2, horizon=2)
@@ -82,6 +84,26 @@ def test_tv_bound_sampled_mode_approximates_exact():
     assert sampled == pytest.approx(exact, rel=0.25)
     with pytest.raises(ValueError):
         tv_conditional_bound(p, q)
+
+
+def test_table_sampled_bound_reads_each_level_once(monkeypatch):
+    # a p without a row walk answers every draw's prefixes from one future
+    # table per level, not one enumeration per draw
+    levels = []
+    inner = metrics.future_table
+
+    def counted(dist, length, histories=None, t=None):
+        levels.append((length, histories, t))
+        return inner(dist, length, histories, t)
+
+    monkeypatch.setattr(metrics, "future_table", counted)
+    p = make_random_table(3, 4, seed=0)
+    q = make_random_table(3, 4, seed=1)
+    bound = tv_conditional_bound(p, q, n_samples=300,
+                                 rng=np.random.default_rng(5))
+    assert levels == [(1, None, t) for t in range(4)]
+    assert bound == pytest.approx(
+        sampled_bound_loop(p, q, 300, np.random.default_rng(5)), rel=1e-12)
 
 
 @given(st.integers(0, 500))
@@ -284,12 +306,15 @@ def test_referee_modules_import_no_learner_code():
 
 
 def _assert_same_referee(hmm, bases):
-    """Fidelity and span residuals of an HMM equal those of its joint table."""
+    """Fidelity, robust σ and span residuals of an HMM equal its joint table's."""
     table = TableDist(enumerate_joint(hmm), hmm.n_symbols, hmm.horizon)
     got, want = fidelity_for_bases(hmm, bases), fidelity_for_bases(table, bases)
     np.testing.assert_allclose(got.sigmas, want.sigmas, rtol=1e-12, atol=1e-15)
     for a, b in zip(got.spectra, want.spectra):
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(robust_sigma_per_level(hmm, bases),
+                               robust_sigma_per_level(table, bases),
+                               rtol=1e-12, atol=1e-15)
     for members in bases:
         assert expected_span_residual(hmm, members) == pytest.approx(
             expected_span_residual(table, members), rel=1e-12, abs=1e-15)
@@ -298,10 +323,15 @@ def _assert_same_referee(hmm, bases):
 
 def test_zero_probability_basis_members_weigh_nothing():
     # symbol 2 is never emitted, so (2,) and (2, 2) have probability zero
-    hmm = Hmm(mu=[1.0, 0.0], emission=[[1.0, 1.0], [0.0, 0.0]],
-              transition=[[0.2, 0.6], [0.8, 0.4]], horizon=3)
+    hmm = never_emits_two()
     bases = [[()], [(1,), (2,)], [(1, 1), (2, 2)], [(1, 1, 1)]]
     assert _assert_same_referee(hmm, bases).sigmas == pytest.approx([1.0] * 4)
+    np.testing.assert_allclose(robust_sigma_per_level(hmm, bases), [1.0] * 4,
+                               rtol=0, atol=1e-12)
+    # a dead member adds a zero row and column; the live one keeps [[1]]
+    np.testing.assert_allclose(sigma_matrix(hmm, bases[1]), [[1, 0], [0, 0]],
+                               rtol=0, atol=1e-12)
+    assert sigma_matrix(hmm, [(2,)]).tolist() == [[0.0]]
 
 
 @given(st.integers(0, 10_000))

@@ -49,6 +49,7 @@ from _reference import (
     enumerated_coefficients,
     enumerated_exact_operators,
     enumerated_rank,
+    never_emits_two,
     random_hmm,
     random_hmm_with_zero_symbols,
     sampled_bound_loop,
@@ -152,8 +153,8 @@ def test_belief_space_paths_enumerate_nothing(monkeypatch):
         raise AssertionError("an HMM path enumerated futures")
 
     monkeypatch.setattr(Hmm, "_children", refuse)
-    for module in (distributions, oom):
-        monkeypatch.setattr(module, "future_table", refuse)
+    for name in ("future_table", "_forward", "_backward"):
+        monkeypatch.setattr(distributions, name, refuse)
     hmm = make_parity_hmm(16, alpha=0.2)
     model = construct_exact_operators(hmm, parity_class_bases(16))
     assert model.basis_sizes() == [1] + [2] * 15 + [1]
@@ -164,13 +165,13 @@ def test_exact_operators_filter_each_basis_member_once(monkeypatch):
     # a level's members serve as the targets of the level below and as the
     # sources of their own level; both read one filtered belief
     filtered = []
-    inner = Hmm.forward_filter
+    inner = Hmm._walk
 
-    def counted(self, history):
-        filtered.append(tuple(history))
-        return inner(self, history)
+    def counted(self, seq):
+        filtered.append(tuple(seq))
+        return inner(self, seq)
 
-    monkeypatch.setattr(Hmm, "forward_filter", counted)
+    monkeypatch.setattr(Hmm, "_walk", counted)
     bases = parity_class_bases(16)
     construct_exact_operators(make_parity_hmm(16, alpha=0.2), bases)
     assert sorted(filtered) == sorted(b for members in bases for b in members)
@@ -191,6 +192,30 @@ def test_exact_operators_build_the_kernels_once(monkeypatch):
     construct_exact_operators(hmm, bases)
     exact_coefficients(hmm, bases[3], (2, 1, 2))
     assert len(built) == 2
+
+
+def test_zero_probability_members_get_zero_operator_columns():
+    hmm = never_emits_two()
+    bases = [[()], [(1,), (2,)], [(1, 1), (2, 2)], [(1, 1, 1)]]
+    model = construct_exact_operators(hmm, bases)
+    for t in (1, 2):  # member 1 of levels 1 and 2 has probability zero
+        for op in model.operators[t]:
+            assert op[:, 1].tolist() == [0.0] * op.shape[0]
+        assert model.step_matrices[t][:, 1].tolist() == [0.0, 0.0]
+    got = [eval_prob(model, seq) for seq in all_seqs(2, 3)]
+    np.testing.assert_allclose(got, enumerate_joint(hmm), rtol=0, atol=1e-12)
+    assert exact_coefficients(hmm, bases[1], (2,)).tolist() == [0.0, 0.0]
+    np.testing.assert_allclose(exact_coefficients(hmm, bases[1], (1,)), [1, 0],
+                               rtol=0, atol=1e-12)
+
+
+def test_exact_operators_and_coefficients_need_an_hmm():
+    hmm = make_parity_hmm(4, alpha=0.2)
+    table = TableDist(enumerate_joint(hmm), 2, 4)
+    with pytest.raises(TypeError, match="TableDist"):
+        construct_exact_operators(table, parity_class_bases(4))
+    with pytest.raises(TypeError, match="TableDist"):
+        exact_coefficients(table, parity_class_bases(4)[2], (1, 2))
 
 
 @pytest.mark.parametrize("horizon", [32, 64])

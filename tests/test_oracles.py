@@ -24,7 +24,7 @@ def test_mode_enforcement():
     exact = OracleHandle(TABLE, mode="exact")
     sampling = OracleHandle(TABLE, mode="sampling", seed=0)
     with pytest.raises(WrongOracleMode):
-        exact.sample_query((1,))
+        exact.sample_futures((1,), 1)
     with pytest.raises(WrongOracleMode):
         sampling.exact_query((1,), (2,))
     with pytest.raises(ValueError):
@@ -44,9 +44,9 @@ def test_exact_query_passthrough_and_counting():
 
 def test_budget_enforced_across_query_kinds():
     oracle = OracleHandle(TABLE, mode="sampling", seed=1, budget=10)
-    oracle.sample_query((), size=8)
+    oracle.sample_futures((), 8)
     with pytest.raises(BudgetExceeded):
-        oracle.sample_query((), size=3)
+        oracle.sample_futures((), 3)
     # a smaller request still fits
     oracle.sample_joint(1, size=2)
     assert oracle.stats.total == 10
@@ -57,10 +57,10 @@ def test_budget_enforced_across_query_kinds():
 def test_sampling_is_deterministic_given_seed():
     a = OracleHandle(TABLE, mode="sampling", seed=123)
     b = OracleHandle(TABLE, mode="sampling", seed=123)
-    assert a.sample_query((), size=50) == b.sample_query((), size=50)
+    assert a.sample_futures((), 50).tolist() == b.sample_futures((), 50).tolist()
     assert a.sample_joint(1, size=20) == b.sample_joint(1, size=20)
     c = OracleHandle(TABLE, mode="sampling", seed=124)
-    assert a.sample_query((), size=200) != c.sample_query((), size=200)
+    assert a.sample_futures((), 200).tolist() != c.sample_futures((), 200).tolist()
 
 
 def test_sample_joint_prefix_shapes():
@@ -74,10 +74,10 @@ def test_sample_joint_prefix_shapes():
         oracle.sample_joint(3)
 
 
-def test_sample_query_frequencies():
+def test_sample_futures_frequencies():
     oracle = OracleHandle(TABLE, mode="sampling", seed=7)
-    draws = oracle.sample_query((2,), size=4000)
-    freq = np.mean([f == (1,) for f in draws])
+    draws = oracle.sample_futures((2,), 4000)
+    freq = np.mean(draws[:, 0] == 1)
     assert freq == pytest.approx(3 / 7, abs=0.03)
     assert oracle.stats.sample_queries == 4000
 
