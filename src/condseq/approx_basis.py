@@ -183,6 +183,8 @@ def find_approx_basis(oracle: OracleHandle, t: int, eps: float = 0.1,
     times that unit-norm coefficients suffice downstream (the report keeps
     the distinct members).
 
+    ``eps`` and ``regularity`` must lie in ``(0, 1]`` and every count must be
+    at least 1; anything else raises ``ValueError`` before the first query.
     Raises ``RoundCapExceeded`` when the round budget runs out, which means
     the declared regularity or rank bound does not hold.
     """
@@ -190,6 +192,15 @@ def find_approx_basis(oracle: OracleHandle, t: int, eps: float = 0.1,
         raise WrongOracleMode("find_approx_basis requires a sampling oracle")
     if not 1 <= t <= oracle.horizon:
         raise ValueError("prefix length out of range")
+    for name, value in (("eps", eps), ("regularity", regularity)):
+        if not 0.0 < value <= 1.0:
+            raise ValueError(f"{name} must lie in (0, 1], got {value}")
+    for name, value in (("rank_bound", rank_bound),
+                        ("candidates_per_round", candidates_per_round),
+                        ("loss_samples", loss_samples),
+                        ("step_samples", step_samples)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
     started = time.perf_counter()
     cap = coefficient_cap(oracle.horizon, rank_bound, eps, regularity)
     budget = search_round_cap(oracle.horizon, rank_bound, eps, regularity)
@@ -266,23 +277,11 @@ def _min_capped_loss(estimator: CondEstimator, members: list[Seq], x: Seq,
     draws = [oracle.sample_futures(h, int(k)) for h, k in sources if k > 0]
     batch = distinct_rows(np.concatenate(draws), oracle.n_symbols)
 
-    ys, zs, ws = [], [], []
-    for future, count in batch:
-        target = estimator.gated_cond_prob(x, future, regularity)
-        ests = np.array([
-            estimator.gated_cond_prob(b, future, regularity) for b in members
-        ])
-        dens = mixture_density(target, ests)
-        if dens > 0.0:
-            ys.append(target / dens)
-            zs.append(ests / dens)
-        else:
-            ys.append(0.0)
-            zs.append(np.zeros(h))
-        ws.append(count)
-    y = np.array(ys)
-    z = np.vstack(zs)
-    w = np.array(ws, dtype=float)
+    block = estimator.gated_block([x, *members], [f for f, _ in batch], regularity)
+    dens = mixture_density(block[:, 0], block[:, 1:].T)[:, None]
+    ratios = np.divide(block, dens, out=np.zeros_like(block), where=dens > 0.0)
+    y, z = ratios[:, 0], ratios[:, 1:]
+    w = np.array([count for _, count in batch], dtype=float)
     beta = min_capped_ridge(y, z, cap, weights=w)
     return empirical_l2_loss(y, z, beta, weights=w), beta
 

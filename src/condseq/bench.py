@@ -31,7 +31,19 @@ from .sequences import seq_count
 
 SCHEMA_VERSION = 1
 ALGORITHMS = ("exact", "sampling", "approx-basis")
-INSTANCE_KINDS = ("parity", "full-rank", "overcomplete", "random-table", "file")
+# The keys each instance kind takes besides ``kind``; build_instance reads them.
+INSTANCE_KEYS = {
+    "parity": frozenset({"horizon", "subset", "alpha"}),
+    "full-rank": frozenset({"n_states", "n_symbols", "horizon", "seed",
+                            "sigma_floor"}),
+    "overcomplete": frozenset({"n_states", "n_symbols", "horizon", "seed"}),
+    "random-table": frozenset({"n_symbols", "horizon", "seed", "concentration"}),
+    "file": frozenset({"path"}),
+}
+INSTANCE_KINDS = tuple(INSTANCE_KEYS)
+EVAL_KEYS = frozenset({"tv", "tv_samples", "tv_threshold", "residual_threshold",
+                       "min_pass_fraction"})
+TV_KINDS = ("auto", "exact", "bound", "none")
 
 # Enumeration-based evaluation is only attempted below this table size.
 EVAL_ENUM_LIMIT = 2**16
@@ -71,6 +83,15 @@ class ExperimentConfig:
         kind = self.instance.get("kind")
         if kind not in INSTANCE_KINDS:
             raise ValueError(f"instance kind must be one of {INSTANCE_KINDS}")
+        unknown = set(self.instance) - {"kind"} - INSTANCE_KEYS[kind]
+        if unknown:
+            raise ValueError(f"unknown config keys: instance {sorted(unknown)} "
+                             f"(kind {kind!r})")
+        unknown = set(self.eval) - EVAL_KEYS
+        if unknown:
+            raise ValueError(f"unknown config keys: eval {sorted(unknown)}")
+        if self.eval.get("tv", "auto") not in TV_KINDS:
+            raise ValueError(f"eval.tv must be one of {TV_KINDS}")
         if self.budget is not None and self.budget <= 0:
             raise ValueError("budget must be positive")
         if self.seeds is not None and len(self.seeds) == 0:
@@ -258,8 +279,6 @@ def _evaluate(dist, approx, eval_cfg: dict, seed: int, out: dict) -> None:
     kind = eval_cfg.get("tv", "auto")
     if kind == "none":
         return
-    if kind not in ("auto", "exact", "bound"):
-        raise ValueError("eval.tv must be auto, exact, bound, or none")
     if kind == "exact" or (kind == "auto" and _enumerable(dist)):
         out["tv"] = tv_exact(dist, approx)
         out["tv_kind"] = "exact"

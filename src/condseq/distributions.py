@@ -163,6 +163,8 @@ class Hmm:
             raise ValueError("horizon must be >= 1")
         for name, arr in (("mu", self.mu), ("emission", self.emission),
                           ("transition", self.transition)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} has non-finite entries")
             if np.any(arr < -_COL_ATOL):
                 raise ValueError(f"{name} has negative entries")
         if abs(self.mu.sum() - 1.0) > _COL_ATOL:
@@ -375,6 +377,8 @@ class TableDist:
         expected = seq_count(self.n_symbols, self.horizon)
         if self.probs.shape != (expected,):
             raise ValueError(f"probs must have length {expected}")
+        if not np.all(np.isfinite(self.probs)):
+            raise ValueError("probs must be finite")
         if np.any(self.probs < 0.0):
             raise ValueError("probs must be nonnegative")
         if abs(self.probs.sum() - 1.0) > _TABLE_ATOL:
@@ -701,10 +705,12 @@ class _TextLines:
         return ValueError(f"line {n}: {message}")
 
     def line(self, what: str, text: str | None = None, count: int = 0,
-             kind=float, expected: list | None = None) -> list:
+             kind=float, expected: list | None = None,
+             minimum: int | None = None) -> list:
         """The ``count`` values after ``text`` (when given) on the next line.
 
-        Each value must convert with ``kind`` and equal its entry of
+        Each value must convert with ``kind``, be finite when it is a float,
+        be at least ``minimum`` when that is given, and equal its entry of
         ``expected`` where that is not ``None``.
         """
         if not self._more():
@@ -719,6 +725,10 @@ class _TextLines:
             values = [kind(v) for v in words]
         except ValueError as exc:
             raise self.error(f"{what} holds a malformed value ({exc})") from None
+        if kind is float and not all(math.isfinite(v) for v in values):
+            raise self.error(f"{what} holds a non-finite value")
+        if minimum is not None and any(v < minimum for v in values):
+            raise self.error(f"{what} values must be at least {minimum}, got {values}")
         if any(want not in (None, got) for want, got in zip(expected or [], values)):
             raise self.error(f"{what} should read {expected}, got {values}")
         self._pos += 1
@@ -752,7 +762,8 @@ def hmm_from_text(text: str) -> Hmm:
     """Parse :func:`hmm_to_text` output; raises ``ValueError`` naming the line."""
     lines = _TextLines(text)
     lines.line("the condseq HMM header", _HMM_HEADER)
-    S, O, T = (lines.line(f"the {key} line", key, 1, int)[0] for key in "SOT")
+    S, O, T = (lines.line(f"the {key} line", key, 1, int, minimum=1)[0]
+               for key in "SOT")
     mu = np.array(lines.line("the mu line", "mu", S))
     lines.line("the emission block", "emission")
     emission = lines.matrix("emission", O, S)

@@ -2,9 +2,9 @@
 
 Shared machinery for the sampling-based learner and the approximate-basis
 search.  The estimator builds one empirical next-symbol histogram per distinct
-conditioning history and derives everything else — multi-step conditionals,
-the regularity screen, preconditioned ratios — from those cached tables, so a
-history that appears in many estimates is sampled once.
+conditioning history, and both callers read it through one screened block
+``Pr[F | H]`` (the sampled observation table, rows by future, columns by
+history), so a history that appears in many estimates is sampled once.
 """
 
 from __future__ import annotations
@@ -66,24 +66,19 @@ class CondEstimator:
 
     # -- derived multi-step estimates -------------------------------------
 
-    def step_estimates(self, history: Seq, future: Seq) -> np.ndarray:
-        """Per-step empirical conditionals of ``future`` after ``history``."""
-        history = tuple(history)
-        out = np.empty(len(future))
-        for i, o in enumerate(future):
-            out[i] = self.next_symbol_freqs(history)[o - 1]
-            history += (o,)
-        return out
+    def gated_block(self, histories: list[Seq], futures: list[Seq],
+                    alpha: float) -> np.ndarray:
+        """Screened estimates ``Pr[f | h]``: rows by future, columns by history.
 
-    def gated_cond_prob(self, history: Seq, future: Seq, alpha: float) -> float:
-        """Multi-step estimate, zeroed when the regularity screen fails.
-
-        The screen passes when every per-step empirical conditional exceeds
-        ``2 * alpha``; a future that fails is (with high probability)
-        irregular at level ``3 * alpha`` and its relative estimate cannot be
-        trusted.
+        Entry ``(i, j)`` is the product over ``k`` of the step frequencies
+        ``next_symbol_freqs(h_j + f_i[:k])[f_i[k]]``, or zero unless every step
+        exceeds ``2 * alpha``: a future failing this regularity screen is (with
+        high probability) irregular at level ``3 * alpha``, so its estimate
+        cannot be trusted.  The futures share one length.  Histograms are read
+        future by future, then history by history, then step by step.
         """
-        steps = self.step_estimates(history, future)
-        if np.all(steps > 2.0 * alpha):
-            return float(np.prod(steps))
-        return 0.0
+        length = len(futures[0]) if futures else 0
+        steps = np.array([[[self.next_symbol_freqs(h + f[:k])[f[k] - 1]
+                            for k in range(length)] for h in histories]
+                          for f in futures]).reshape(len(futures), len(histories), length)
+        return np.where(np.all(steps > 2.0 * alpha, axis=2), np.prod(steps, axis=2), 0.0)

@@ -64,26 +64,15 @@ class LearnerState:
             self.values[key] = oracle.exact_query(*key)
         return self.values[key]
 
+    def block(self, oracle: OracleHandle, histories: list[Seq],
+              futures: list[Seq]) -> np.ndarray:
+        """Memoized ``Pr[futures | histories]``, read and laid out row by future."""
+        return np.array([[self.pr(oracle, b, f) for b in histories]
+                         for f in futures])
+
     def test_matrix(self, oracle: OracleHandle, t: int) -> np.ndarray:
         """``Pr[L_t | B_t]`` with rows indexed by tests."""
-        return np.array(
-            [[self.pr(oracle, b, lam) for b in self.histories[t]]
-             for lam in self.tests[t]]
-        )
-
-    def shifted_matrix(self, oracle: OracleHandle, t: int, o: int) -> np.ndarray:
-        """``Pr[o · L_{t+1} | B_t]`` — next level's tests prefixed by ``o``."""
-        return np.array(
-            [[self.pr(oracle, b, (o,) + tuple(lam)) for b in self.histories[t]]
-             for lam in self.tests[t + 1]]
-        )
-
-    def step_matrix(self, oracle: OracleHandle, t: int) -> np.ndarray:
-        """One-step probabilities ``Pr[o | B_t]``, rows indexed by symbol."""
-        return np.array(
-            [[self.pr(oracle, b, (o,)) for b in self.histories[t]]
-             for o in range(1, self.n_symbols + 1)]
-        )
+        return self.block(oracle, self.histories[t], self.tests[t])
 
     def max_size(self) -> int:
         return max(len(members) for members in self.histories)
@@ -141,7 +130,8 @@ def solve_operators(state: LearnerState, oracle: OracleHandle) -> list[list[np.n
         lhs = state.test_matrix(oracle, t + 1)
         per_symbol = []
         for o in range(1, state.n_symbols + 1):
-            rhs = state.shifted_matrix(oracle, t, o)
+            rhs = state.block(oracle, state.histories[t],
+                              [(o, *lam) for lam in state.tests[t + 1]])
             sol, *_ = np.linalg.lstsq(lhs, rhs, rcond=1e-12)
             residual = float(np.max(np.abs(lhs @ sol - rhs))) if rhs.size else 0.0
             if residual > 1e-7:
@@ -304,7 +294,9 @@ def learn_exact(oracle: OracleHandle, eps: float = 0.05, delta: float = 0.1,
         operators=operators,
         test_seqs=[list(tests) for tests in state.tests],
         test_matrices=[state.test_matrix(oracle, t) for t in range(T + 1)],
-        step_matrices=[state.step_matrix(oracle, t) for t in range(T)],
+        step_matrices=[state.block(oracle, state.histories[t],
+                                   [(o,) for o in range(1, state.n_symbols + 1)])
+                       for t in range(T)],
     )
     info = {
         "rounds": state.rounds,

@@ -470,9 +470,10 @@ def model_from_text(text: str) -> OomModel:
     """
     lines = _TextLines(text)
     lines.line("the condseq model header", _MODEL_HEADER)
-    O = lines.line("the O line", "O", 1, int)[0]
-    T = lines.line("the T line", "T", 1, int)[0]
-    sizes = lines.line("the sizes line", "sizes", T + 1, int)
+    O = lines.line("the O line", "O", 1, int, minimum=1)[0]
+    T = lines.line("the T line", "T", 1, int, minimum=1)[0]
+    sizes = lines.line("the sizes line", "sizes", T + 1, int, expected=[1],
+                       minimum=1)
 
     def sequence(lengths: range):
         """Parser of a sequence over ``1..O`` whose length lies in ``lengths``."""

@@ -138,17 +138,11 @@ def estimate_sigma_and_q(estimator: CondEstimator, basis: list[Seq],
         for x in dict.fromkeys(list(basis) + extended)
     }
 
-    ratios: dict[Seq, np.ndarray] = {}
-    for batch in batches.values():
-        for future, _ in batch:
-            if future in ratios:
-                continue
-            rel = np.array([
-                estimator.gated_cond_prob(b, future, params.regularity)
-                for b in basis
-            ])
-            mix = rel.mean()
-            ratios[future] = rel / mix if mix > 0.0 else np.zeros(n)
+    futures = list(dict.fromkeys(f for batch in batches.values() for f, _ in batch))
+    rel = estimator.gated_block(basis, futures, params.regularity)
+    mix = rel.mean(axis=1, keepdims=True)
+    ratios = dict(zip(futures, np.divide(rel, mix, out=np.zeros_like(rel),
+                                         where=mix > 0.0)))
 
     def column(x: Seq) -> np.ndarray:
         col = np.zeros(n)

@@ -350,3 +350,20 @@ def enumerated_rank(dist, tol: float = 1e-8) -> int:
                          for ell in range(1, T - t + 1)])
         ranks.append(numerical_rank(mat[joint > 0.0], tol))
     return max(ranks)
+
+
+def gated_estimate_loop(estimator, history, future, alpha: float) -> float:
+    """One screened estimate ``Pr[future | history]``, step by step.
+
+    Reads ``next_symbol_freqs`` once per step of ``future``, in order, and
+    returns the product of those frequencies, or 0.0 unless every one
+    exceeds ``2 * alpha``.
+    """
+    history = tuple(history)
+    steps = np.empty(len(future))
+    for i, o in enumerate(future):
+        steps[i] = estimator.next_symbol_freqs(history)[o - 1]
+        history += (o,)
+    if np.all(steps > 2.0 * alpha):
+        return float(np.prod(steps))
+    return 0.0

@@ -239,3 +239,23 @@ def test_elliptical_potential_never_beats_bound(seed):
     max_norm = float(np.linalg.norm(vectors, axis=1).max())
     assert elliptical_potential(vectors, ridge) <= elliptical_potential_bound(
         n, d, max_norm, ridge) + 1e-12
+
+
+@pytest.mark.parametrize("kwargs,name", [
+    ({"candidates_per_round": 0}, "candidates_per_round"),
+    ({"loss_samples": 0}, "loss_samples"),
+    ({"step_samples": 0}, "step_samples"),
+    ({"rank_bound": 0}, "rank_bound"),
+    ({"eps": 0.0}, "eps"),
+    ({"eps": -0.1}, "eps"),
+    ({"eps": 1.5}, "eps"),
+    ({"regularity": 0.0}, "regularity"),
+    ({"regularity": -0.05}, "regularity"),
+])
+def test_find_approx_basis_rejects_parameters_that_cannot_work(kwargs, name):
+    # each used to fail only after spending queries (eps=-0.1 ran 274k) or
+    # to divide by zero
+    oracle = OracleHandle(make_parity_hmm(4, alpha=0.2), mode="sampling", seed=0)
+    with pytest.raises(ValueError, match=name):
+        find_approx_basis(oracle, t=2, **kwargs)
+    assert oracle.stats.total == 0

@@ -300,6 +300,50 @@ def test_params_an_algorithm_does_not_take_are_rejected(parity_file, tmp_path):
               "--rel-accuracy", "0.1"])
 
 
+def test_misspelt_eval_key_is_rejected_before_any_run():
+    # eval: {tv_treshold: ...} used to run, assert nothing and report passed
+    with pytest.raises(ValueError, match=r"unknown config keys: eval \['tv_treshold'\]"):
+        ExperimentConfig(instance={"kind": "parity", "horizon": 4},
+                         algorithm="exact", eval={"tv_treshold": 1e-12})
+
+
+def test_misspelt_instance_key_is_rejected_before_any_run():
+    # instance: {alpah: 0.3} used to learn the default alpha = 0.2
+    with pytest.raises(ValueError, match=r"instance \['alpah'\] \(kind 'parity'\)"):
+        ExperimentConfig(instance={"kind": "parity", "horizon": 4, "alpah": 0.3},
+                         algorithm="exact")
+    # a key of another kind is unknown to this one
+    with pytest.raises(ValueError, match="sigma_floor"):
+        ExperimentConfig(instance={"kind": "overcomplete", "n_states": 3,
+                                   "horizon": 4, "sigma_floor": 0.1},
+                         algorithm="exact")
+
+
+def test_unknown_tv_kind_is_rejected_before_any_run():
+    # eval: {tv: exct} used to raise only after the learner had run
+    with pytest.raises(ValueError, match="eval.tv must be one of"):
+        ExperimentConfig(instance={"kind": "parity", "horizon": 4},
+                         algorithm="exact", eval={"tv": "exct"})
+
+
+def test_every_documented_instance_and_eval_key_is_accepted(parity_file):
+    specs = [
+        {"kind": "parity", "horizon": 3, "subset": [1], "alpha": 0.1},
+        {"kind": "full-rank", "n_states": 2, "n_symbols": 2, "horizon": 3,
+         "seed": 1, "sigma_floor": 0.1},
+        {"kind": "overcomplete", "n_states": 3, "n_symbols": 2, "horizon": 3,
+         "seed": 1},
+        {"kind": "random-table", "n_symbols": 2, "horizon": 3, "seed": 1,
+         "concentration": 2.0},
+        {"kind": "file", "path": parity_file},
+    ]
+    eval_cfg = {"tv": "none", "tv_samples": 10, "tv_threshold": 0.5,
+                "residual_threshold": 0.5, "min_pass_fraction": 0.5}
+    for spec in specs:
+        config = ExperimentConfig(instance=spec, algorithm="exact", eval=eval_cfg)
+        assert build_instance(config.instance).horizon in (3, 4)
+
+
 def test_exact_params_that_cannot_work_are_rejected(parity_file):
     # n_override=0 used to return a rank-one model after 0 rounds, eps=0 and
     # delta=0 to divide by zero, and delta=-1 to give n=3200

@@ -58,6 +58,19 @@ def test_hmm_validation_rejects_bad_parameters():
             transition=[[0.5, 0.5], [0.5, 0.5]], horizon=2)
 
 
+def test_non_finite_entries_are_rejected():
+    # NaN fails both the negativity and the sum test, so it used to pass
+    with pytest.raises(ValueError, match="mu has non-finite"):
+        Hmm(mu=[np.nan, 1.0], emission=np.eye(2), transition=np.eye(2),
+            horizon=2)
+    with pytest.raises(ValueError, match="emission has non-finite"):
+        Hmm(mu=[1.0], emission=[[np.inf], [0.5]], transition=[[1.0]], horizon=2)
+    with pytest.raises(ValueError, match="transition has non-finite"):
+        Hmm(mu=[1.0], emission=[[0.5], [0.5]], transition=[[np.nan]], horizon=2)
+    with pytest.raises(ValueError, match="finite"):
+        TableDist(np.array([np.nan, 0.5, 0.25, 0.25]), 2, 2)
+
+
 def test_hmm_joint_matches_state_path_enumeration():
     rng = np.random.default_rng(7)
     for n_states, n_symbols, horizon in [(2, 2, 3), (3, 2, 4), (2, 3, 3)]:
@@ -436,6 +449,24 @@ def test_hmm_text_prefixes_fail_with_the_line(seed):
     np.testing.assert_array_equal(clone.mu, hmm.mu)
     np.testing.assert_array_equal(clone.emission, hmm.emission)
     np.testing.assert_array_equal(clone.transition, hmm.transition)
+
+
+def test_hmm_text_rejects_out_of_range_headers_and_non_finite_values():
+    lines = hmm_to_text(make_parity_hmm(3, alpha=0.2)).splitlines()
+    edits = [(lines.index("S 12"), "S 0", "at least 1"),
+             (lines.index("O 2"), "O 0", "at least 1"),
+             (lines.index("T 3"), "T 0", "at least 1"),
+             (lines.index("T 3"), "T -1", "at least 1")]
+    mu = next(i for i, ln in enumerate(lines) if ln.startswith("mu "))
+    for row, bad in ((mu, "nan"), (lines.index("emission") + 1, "inf"),
+                     (lines.index("transition") + 2, "-inf")):
+        words = lines[row].split()
+        words[-1] = bad
+        edits.append((row, " ".join(words), "non-finite"))
+    for row, text, message in edits:
+        edited = lines[:row] + [text] + lines[row + 1:]
+        with pytest.raises(ValueError, match=rf"^line {row + 1}: .*{message}"):
+            hmm_from_text("\n".join(edited))
 
 
 @settings(max_examples=100, deadline=None)

@@ -396,6 +396,27 @@ def test_model_text_rejects_sequences_of_the_wrong_length():
     assert model_from_text("\n".join(edited)).test_seqs[0] == [(1, 2, 1)]
 
 
+def test_model_text_rejects_out_of_range_headers_and_non_finite_values():
+    model = construct_exact_operators(make_parity_hmm(3, alpha=0.2),
+                                      parity_class_bases(3))
+    lines = model_to_text(model).splitlines()
+    sizes, operator = lines.index("sizes 1 2 2 1"), lines.index("operator 0 1 2 1")
+    # T -1 used to raise IndexError; sizes 1 0 / 1 -1 loaded an empty or
+    # negative level-1 basis
+    for row, text, message in (
+            (lines.index("O 2"), "O 0", "at least 1"),
+            (lines.index("T 3"), "T 0", "at least 1"),
+            (lines.index("T 3"), "T -1", "at least 1"),
+            (sizes, "sizes 1 0 2 1", "at least 1"),
+            (sizes, "sizes 1 -1 2 1", "at least 1"),
+            (sizes, "sizes 2 2 2 1", r"should read \[1\]"),
+            (operator + 1, "nan", "non-finite"),
+            (operator + 2, "inf", "non-finite")):
+        edited = lines[:row] + [text] + lines[row + 1:]
+        with pytest.raises(ValueError, match=rf"^line {row + 1}: .*{message}"):
+            model_from_text("\n".join(edited))
+
+
 # -- evaluation of learned models --------------------------------------------
 
 # Quarter-grid entries: sums and products of a few of them are exact, so the
