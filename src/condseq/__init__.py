@@ -23,7 +23,7 @@ use_one_thread()
 
 # Public name -> submodule defining it.
 _EXPORTS = {name: module for module, names in {
-    "approx_basis": "ApproxBasisState RoundCapExceeded elliptical_potential "
+    "approx_basis": "RoundCapExceeded elliptical_potential "
                     "elliptical_potential_bound find_approx_basis min_capped_ridge",
     "bench": "ExperimentConfig ExperimentReport build_instance run_experiment",
     "distributions": "EnumerationCapError Hmm TableDist ZeroProbabilityHistory "

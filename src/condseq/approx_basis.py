@@ -13,7 +13,6 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,31 +34,6 @@ class RoundCapExceeded(RuntimeError):
     def __init__(self, message: str, report: dict) -> None:
         super().__init__(message)
         self.report = report
-
-
-@dataclass
-class ApproxBasisState:
-    """Basis under construction plus the caps that govern the search."""
-
-    members: list[Seq]
-    coeff_cap: float
-    round_cap: int
-    rounds: list[dict] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        self._validate()
-
-    def add(self, member: Seq) -> None:
-        self.members.append(tuple(member))
-        self._validate()
-
-    def _validate(self) -> None:
-        if self.coeff_cap <= 0.0 or self.round_cap < 1:
-            raise ValueError("caps must be positive")
-        if len(self.members) > self.round_cap:
-            raise ValueError("more members than rounds allow")
-        if len({len(m) for m in self.members}) > 1:
-            raise ValueError("members must share one length")
 
 
 def coefficient_cap(horizon: int, rank_bound: int, eps: float,
@@ -207,16 +181,16 @@ def find_approx_basis(oracle: OracleHandle, t: int, eps: float = 0.1,
     threshold = eps * eps / 8.0
     rng = np.random.default_rng(seed)
     estimator = CondEstimator(oracle, step_samples)
-    state = ApproxBasisState(members=[tuple(oracle.sample_joint(t))],
-                             coeff_cap=cap, round_cap=budget)
+    members = [tuple(oracle.sample_joint(t))]
+    rounds: list[dict] = []
 
     def report() -> dict:
         return {
-            "members": list(state.members),
+            "members": list(members),
             "coeff_cap": cap,
             "round_cap": budget,
             "loss_threshold": threshold,
-            "rounds": state.rounds,
+            "rounds": rounds,
             "params": {
                 "t": t, "eps": eps, "regularity": regularity,
                 "rank_bound": rank_bound,
@@ -233,13 +207,13 @@ def find_approx_basis(oracle: OracleHandle, t: int, eps: float = 0.1,
         found = None
         losses: list[float] = []
         for x in candidates:
-            loss, _ = _min_capped_loss(estimator, state.members, tuple(x),
+            loss, _ = _min_capped_loss(estimator, members, tuple(x),
                                        cap, loss_samples, regularity, rng)
             losses.append(loss)
             if loss > threshold:
                 found = tuple(x)
                 break
-        state.rounds.append({
+        rounds.append({
             "round": round_idx,
             "checked": len(losses),
             "max_loss": max(losses),
@@ -249,10 +223,10 @@ def find_approx_basis(oracle: OracleHandle, t: int, eps: float = 0.1,
                  round_idx, len(losses), max(losses),
                  "" if found is None else f", added {found}")
         if found is None:
-            basis = (repeat_basis(state.members, cap)
-                     if repeat_for_unit_norm else list(state.members))
+            basis = (repeat_basis(members, cap)
+                     if repeat_for_unit_norm else list(members))
             return basis, report()
-        state.add(found)
+        members.append(found)
     raise RoundCapExceeded(
         f"no certified basis within {budget} rounds; "
         "declared regularity or rank bound looks wrong", report())

@@ -13,6 +13,7 @@ from __future__ import annotations
 import inspect
 import time
 from dataclasses import dataclass, field, fields
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -30,17 +31,6 @@ from .sampling_learner import AlgoParams, learn_sampling
 from .sequences import seq_count
 
 SCHEMA_VERSION = 1
-ALGORITHMS = ("exact", "sampling", "approx-basis")
-# The keys each instance kind takes besides ``kind``; build_instance reads them.
-INSTANCE_KEYS = {
-    "parity": frozenset({"horizon", "subset", "alpha"}),
-    "full-rank": frozenset({"n_states", "n_symbols", "horizon", "seed",
-                            "sigma_floor"}),
-    "overcomplete": frozenset({"n_states", "n_symbols", "horizon", "seed"}),
-    "random-table": frozenset({"n_symbols", "horizon", "seed", "concentration"}),
-    "file": frozenset({"path"}),
-}
-INSTANCE_KINDS = tuple(INSTANCE_KEYS)
 EVAL_KEYS = frozenset({"tv", "tv_samples", "tv_threshold", "residual_threshold",
                        "min_pass_fraction"})
 TV_KINDS = ("auto", "exact", "bound", "none")
@@ -48,14 +38,82 @@ TV_KINDS = ("auto", "exact", "bound", "none")
 # Enumeration-based evaluation is only attempted below this table size.
 EVAL_ENUM_LIMIT = 2**16
 
-# The ``params`` keys each algorithm takes; the runner supplies the oracle and,
-# for the basis search, the seed.
-ALGORITHM_PARAMS = {
-    "exact": frozenset(inspect.signature(learn_exact).parameters) - {"oracle"},
-    "sampling": frozenset(f.name for f in fields(AlgoParams)),
-    "approx-basis": (frozenset(inspect.signature(find_approx_basis).parameters)
-                     - {"oracle", "seed"}),
+
+# ---------------------------------------------------------------------------
+# Instances.
+# ---------------------------------------------------------------------------
+
+
+def _parity(horizon, subset=None, alpha=0.2):
+    return make_parity_hmm(horizon, subset, alpha)
+
+
+def _full_rank(horizon, n_states=2, n_symbols=2, seed=0, sigma_floor=0.15):
+    return make_full_rank_hmm(n_states, n_symbols, horizon, seed=seed,
+                              sigma_floor=sigma_floor)
+
+
+def _overcomplete(n_states, horizon, n_symbols=2, seed=0):
+    return make_overcomplete_hmm(n_states, n_symbols, horizon, seed=seed)
+
+
+def _random_table(horizon, n_symbols=2, seed=0, concentration=1.0):
+    return make_random_table(n_symbols, horizon, seed=seed,
+                             concentration=concentration)
+
+
+# Instance kind -> builder; the builder's keywords are the kind's keys.  The
+# builders call the generators by their names in this module, so a caller that
+# rebinds those names (perfbench's tracer) sees every call.
+INSTANCE_BUILDERS = {"parity": _parity, "full-rank": _full_rank,
+                     "overcomplete": _overcomplete,
+                     "random-table": _random_table, "file": load_hmm}
+
+
+def build_instance(spec: dict):
+    """Construct the distribution a config's ``instance`` section describes."""
+    builder = INSTANCE_BUILDERS.get(spec.get("kind"))
+    if builder is None:
+        raise ValueError(f"unknown instance kind {spec.get('kind')!r}")
+    return builder(**{k: v for k, v in spec.items() if k != "kind"})
+
+
+def _keys(fn, supplied=()) -> tuple[frozenset, frozenset]:
+    """(accepted, required) keyword names of ``fn``, less the ``supplied`` ones."""
+    params = [p for p in inspect.signature(fn).parameters.values()
+              if p.name not in supplied]
+    return (frozenset(p.name for p in params),
+            frozenset(p.name for p in params if p.default is p.empty))
+
+
+# (accepted, required) keys of each instance kind and each algorithm's
+# ``params``, read off the signatures; the runner supplies the oracle and the
+# basis search's seed.
+CONFIG_KEYS = {
+    "instance": {kind: _keys(fn) for kind, fn in INSTANCE_BUILDERS.items()},
+    "params": {algorithm: _keys(fn, ("oracle", "seed")) for algorithm, fn in
+               (("exact", learn_exact), ("sampling", AlgoParams),
+                ("approx-basis", find_approx_basis))},
 }
+ALGORITHMS = tuple(CONFIG_KEYS["params"])
+
+
+def _check_keys(section: str, given, name: str, context: str) -> None:
+    accepted, required = CONFIG_KEYS[section][name]
+    for problem, keys in (("unknown", set(given) - accepted),
+                          ("missing", required - set(given))):
+        if keys:
+            raise ValueError(f"{problem} config keys: {section} "
+                             f"{sorted(keys)} ({context} {name!r})")
+
+
+def read_config(path) -> dict:
+    """The mapping a YAML config file holds."""
+    with open(path) as fh:
+        raw = yaml.safe_load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError("config file must hold a mapping")
+    return raw
 
 
 @dataclass
@@ -76,22 +134,18 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}")
-        unknown = set(self.params) - ALGORITHM_PARAMS[self.algorithm]
-        if unknown:
-            raise ValueError(f"unknown config keys: params {sorted(unknown)} "
-                             f"(algorithm {self.algorithm!r})")
+        _check_keys("params", self.params, self.algorithm, "algorithm")
         kind = self.instance.get("kind")
-        if kind not in INSTANCE_KINDS:
-            raise ValueError(f"instance kind must be one of {INSTANCE_KINDS}")
-        unknown = set(self.instance) - {"kind"} - INSTANCE_KEYS[kind]
-        if unknown:
-            raise ValueError(f"unknown config keys: instance {sorted(unknown)} "
-                             f"(kind {kind!r})")
+        if kind not in INSTANCE_BUILDERS:
+            raise ValueError(
+                f"instance kind must be one of {tuple(INSTANCE_BUILDERS)}")
+        _check_keys("instance", self.instance.keys() - {"kind"}, kind, "kind")
         unknown = set(self.eval) - EVAL_KEYS
         if unknown:
             raise ValueError(f"unknown config keys: eval {sorted(unknown)}")
         if self.eval.get("tv", "auto") not in TV_KINDS:
             raise ValueError(f"eval.tv must be one of {TV_KINDS}")
+        _check_eval_values(self.eval)
         if self.budget is not None and self.budget <= 0:
             raise ValueError("budget must be positive")
         if self.seeds is not None and len(self.seeds) == 0:
@@ -101,36 +155,39 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - known
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return cls(**raw)
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
-            raw = yaml.safe_load(fh)
-        if not isinstance(raw, dict):
-            raise ValueError("config file must hold a mapping")
-        return cls.from_dict(raw)
+        return cls.from_dict(read_config(path))
 
     def run_seeds(self) -> list[int]:
         return list(self.seeds) if self.seeds is not None else [self.seed]
 
     def as_dict(self) -> dict:
-        return _plain({
-            "schema": self.schema,
-            "instance": self.instance,
-            "algorithm": self.algorithm,
-            "params": self.params,
-            "seed": self.seed,
-            "seeds": self.seeds,
-            "budget": self.budget,
-            "eval": self.eval,
-            "output": self.output,
-            "model_output": self.model_output,
-        })
+        return _plain({f.name: getattr(self, f.name) for f in fields(self)})
+
+
+def _is(value, kind) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _check_eval_values(eval_cfg: dict) -> None:
+    for key in ("tv_threshold", "residual_threshold"):
+        if key in eval_cfg and not _is(eval_cfg[key], Real):
+            raise ValueError(f"eval.{key} must be a real number, "
+                             f"got {eval_cfg[key]!r}")
+    samples = eval_cfg.get("tv_samples", 1)
+    if not (_is(samples, Integral) and samples >= 1):
+        raise ValueError(f"eval.tv_samples must be an integer >= 1, "
+                         f"got {samples!r}")
+    frac = eval_cfg.get("min_pass_fraction", 1.0)
+    if not (_is(frac, Real) and 0.0 <= frac <= 1.0):
+        raise ValueError(f"eval.min_pass_fraction must lie in [0, 1], "
+                         f"got {frac!r}")
 
 
 @dataclass
@@ -171,39 +228,6 @@ def _plain(obj):
     if isinstance(obj, np.ndarray):
         return [_plain(v) for v in obj.tolist()]
     return obj
-
-
-# ---------------------------------------------------------------------------
-# Instances.
-# ---------------------------------------------------------------------------
-
-
-def build_instance(spec: dict):
-    """Construct the distribution a config's ``instance`` section describes."""
-    kind = spec.get("kind")
-    if kind == "parity":
-        subset = spec.get("subset")
-        return make_parity_hmm(spec["horizon"],
-                               None if subset is None else set(subset),
-                               spec.get("alpha", 0.2))
-    if kind == "full-rank":
-        return make_full_rank_hmm(spec.get("n_states", 2),
-                                  spec.get("n_symbols", 2),
-                                  spec["horizon"],
-                                  seed=spec.get("seed", 0),
-                                  sigma_floor=spec.get("sigma_floor", 0.15))
-    if kind == "overcomplete":
-        return make_overcomplete_hmm(spec["n_states"],
-                                     spec.get("n_symbols", 2),
-                                     spec["horizon"],
-                                     seed=spec.get("seed", 0))
-    if kind == "random-table":
-        return make_random_table(spec.get("n_symbols", 2), spec["horizon"],
-                                 seed=spec.get("seed", 0),
-                                 concentration=spec.get("concentration", 1.0))
-    if kind == "file":
-        return load_hmm(spec["path"])
-    raise ValueError(f"unknown instance kind {kind!r}")
 
 
 def _enumerable(dist) -> bool:
@@ -305,20 +329,15 @@ def _summarize(config: ExperimentConfig, dist, outcomes: list[dict]) -> dict:
         summary["instance_rank"] = rank_of(dist)
 
     checks: list[bool] = []
-    tv_threshold = config.eval.get("tv_threshold")
-    if tv_threshold is not None:
-        hits = [o for o in outcomes if o.get("tv") is not None]
-        n_pass = sum(1 for o in hits if o["tv"] <= tv_threshold)
-        summary["tv_pass"] = n_pass
-        frac = n_pass / len(outcomes) if outcomes else 0.0
-        checks.append(frac >= config.eval.get("min_pass_fraction", 1.0))
-    residual_threshold = config.eval.get("residual_threshold")
-    if residual_threshold is not None:
-        hits = [o for o in outcomes if o.get("residual") is not None]
-        n_pass = sum(1 for o in hits if o["residual"] <= residual_threshold)
-        summary["residual_pass"] = n_pass
-        frac = n_pass / len(outcomes) if outcomes else 0.0
-        checks.append(frac >= config.eval.get("min_pass_fraction", 1.0))
+    for key in ("tv", "residual"):
+        threshold = config.eval.get(f"{key}_threshold")
+        if threshold is None:
+            continue
+        n_pass = sum(1 for o in outcomes
+                     if o.get(key) is not None and o[key] <= threshold)
+        summary[f"{key}_pass"] = n_pass
+        checks.append(n_pass / len(outcomes)
+                      >= config.eval.get("min_pass_fraction", 1.0))
 
     summary["asserted"] = bool(checks)
     summary["passed"] = summary["n_errors"] == 0 and all(checks)

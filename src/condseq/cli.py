@@ -1,9 +1,11 @@
 """Command-line interface: generate instances, learn, evaluate, inspect.
 
 Each learner subcommand either loads a full YAML experiment config or builds
-one from flags (an HMM file plus algorithm parameters); ``--seed`` always
-wins over the config.  Exit status is 0 iff the run finished without errors
-and every threshold asserted in the config or flags held.
+one from flags (an HMM file plus algorithm parameters); flags win over the
+config, and ``--seed`` replaces its seed list.  Flags are applied before the
+config is checked, so they get the same checks as a file.  Exit status is 0
+iff the run finished without errors and every threshold asserted in the
+config or flags held.
 """
 
 from __future__ import annotations
@@ -12,15 +14,13 @@ import argparse
 import logging
 import sys
 
-import numpy as np
-
-from .bench import (ExperimentConfig, build_instance, run_experiment,
-                    _enumerable)
-from .distributions import Hmm, load_hmm, rank_of, save_hmm
+from .bench import (CONFIG_KEYS, EVAL_KEYS, ExperimentConfig, build_instance,
+                    read_config, run_experiment, _evaluate)
+from .distributions import load_hmm, rank_of, save_hmm
 from .generators import (greedy_spanning_bases, one_step_bases,
                          parity_class_bases)
 from .metrics import (fidelity_for_bases, robust_sigma_per_level,
-                      search_fidelity_bases, tv_conditional_bound, tv_exact)
+                      search_fidelity_bases)
 from .oom import load_model, to_distribution
 
 
@@ -53,22 +53,19 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--n-states", type=int, default=2)
     gen.add_argument("--n-symbols", type=int, default=2)
     gen.add_argument("--sigma-floor", type=float, default=0.15)
-    gen.add_argument("--instance-seed", type=int, default=0)
+    gen.add_argument("--instance-seed", type=int, default=0, dest="seed")
     gen.add_argument("--out", required=True, help="output HMM file")
     gen.set_defaults(func=_cmd_generate)
 
-    exact = sub.add_parser("learn-exact",
-                           help="run the exact-oracle learner")
-    _add_run_flags(exact)
+    exact = _add_learner(sub, "learn-exact", "exact",
+                         "run the exact-oracle learner")
     exact.add_argument("--eps", type=float, help="target accuracy")
     exact.add_argument("--delta", type=float, help="failure budget")
-    exact.add_argument("--samples", type=int,
+    exact.add_argument("--samples", type=int, dest="n_override",
                        help="fixed equivalence-sweep sample count per length")
-    exact.set_defaults(func=_cmd_learn_exact)
 
-    samp = sub.add_parser("learn-sampling",
-                          help="run the sampling-based spectral learner")
-    _add_run_flags(samp)
+    samp = _add_learner(sub, "learn-sampling", "sampling",
+                        "run the sampling-based spectral learner")
     samp.add_argument("--basis-size", type=int)
     samp.add_argument("--entry-samples", type=int)
     samp.add_argument("--eig-threshold", type=float)
@@ -76,22 +73,19 @@ def _build_parser() -> argparse.ArgumentParser:
     samp.add_argument("--regularity", type=float)
     samp.add_argument("--coeff-norm", type=float)
     samp.add_argument("--step-samples", type=int)
-    samp.set_defaults(func=_cmd_learn_sampling)
 
-    basis = sub.add_parser("find-basis",
-                           help="search for an approximate basis")
-    _add_run_flags(basis)
+    basis = _add_learner(sub, "find-basis", "approx-basis",
+                         "search for an approximate basis")
     basis.add_argument("--t", type=int, help="history length to cover")
     basis.add_argument("--eps", type=float)
     basis.add_argument("--regularity", type=float)
     basis.add_argument("--rank-bound", type=int)
-    basis.add_argument("--candidates", type=int,
+    basis.add_argument("--candidates", type=int, dest="candidates_per_round",
                        help="candidate histories per round")
     basis.add_argument("--loss-samples", type=int)
     basis.add_argument("--step-samples", type=int)
     basis.add_argument("--residual-threshold", type=float,
                        help="assert the enumerated span residual")
-    basis.set_defaults(func=_cmd_find_basis)
 
     ev = sub.add_parser("eval", help="TV-evaluate a learned model file")
     ev.add_argument("--instance", required=True, help="ground-truth HMM file")
@@ -114,7 +108,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_run_flags(cmd: argparse.ArgumentParser) -> None:
+def _add_learner(sub, name: str, algorithm: str,
+                 summary: str) -> argparse.ArgumentParser:
+    """A learner subcommand with the flags every algorithm shares.
+
+    A flag's ``dest`` is the config key it sets: a ``params`` or ``eval``
+    key, or a top-level field.
+    """
+    cmd = sub.add_parser(name, help=summary)
+    cmd.set_defaults(func=_cmd_learn, algorithm=algorithm)
     cmd.add_argument("--config", help="YAML experiment config")
     cmd.add_argument("--instance", help="HMM file (instead of --config)")
     cmd.add_argument("--seed", type=int, help="override the config seed")
@@ -124,8 +126,11 @@ def _add_run_flags(cmd: argparse.ArgumentParser) -> None:
                      help="assert enumerated TV per seed")
     cmd.add_argument("--min-pass-fraction", type=float,
                      help="fraction of seeds that must pass the assertions")
-    cmd.add_argument("--report", help="write the YAML report here")
-    cmd.add_argument("--model-out", help="write learned model file(s) here")
+    cmd.add_argument("--report", dest="output",
+                     help="write the YAML report here")
+    cmd.add_argument("--model-out", dest="model_output",
+                     help="write learned model file(s) here")
+    return cmd
 
 
 def _int_list(text: str) -> list[int]:
@@ -138,53 +143,43 @@ def _int_list(text: str) -> list[int]:
 
 
 def _cmd_generate(args) -> int:
-    spec = {"kind": args.kind, "horizon": args.horizon, "alpha": args.alpha,
-            "n_states": args.n_states, "n_symbols": args.n_symbols,
-            "sigma_floor": args.sigma_floor, "seed": args.instance_seed}
-    if args.subset is not None:
-        spec["subset"] = args.subset
-    hmm = build_instance(spec)
+    accepted, _ = CONFIG_KEYS["instance"][args.kind]
+    hmm = build_instance({"kind": args.kind, **_given(args, accepted)})
     save_hmm(hmm, args.out)
-    line = (f"wrote {args.kind} HMM to {args.out}: "
-            f"{hmm.n_states} states, {hmm.n_symbols} symbols, "
-            f"horizon {hmm.horizon}")
-    if _enumerable(hmm):
-        line += f", rank {rank_of(hmm)}"
-    print(line)
+    print(f"wrote {args.kind} HMM to {args.out}: "
+          f"{hmm.n_states} states, {hmm.n_symbols} symbols, "
+          f"horizon {hmm.horizon}, rank {rank_of(hmm)}")
     return 0
 
 
-def _config_from_args(args, algorithm: str, params: dict,
-                      eval_cfg: dict) -> ExperimentConfig:
+def _given(args, keys) -> dict:
+    """The flags set on the command line whose ``dest`` is one of ``keys``."""
+    return {k: v for k, v in vars(args).items() if k in keys and v is not None}
+
+
+def _config_from_args(args) -> ExperimentConfig:
     if args.config:
-        config = ExperimentConfig.from_file(args.config)
-        if config.algorithm != algorithm:
+        raw = read_config(args.config)
+        if raw.get("algorithm") != args.algorithm:
             raise SystemExit(
-                f"config algorithm {config.algorithm!r} does not match "
-                f"the {algorithm!r} subcommand")
-        config.params.update(params)
-        config.eval.update(eval_cfg)
+                f"config algorithm {raw.get('algorithm')!r} does not match "
+                f"the {args.algorithm!r} subcommand")
+    elif args.instance:
+        raw = {"instance": {"kind": "file", "path": args.instance},
+               "algorithm": args.algorithm}
     else:
-        if not args.instance:
-            raise SystemExit("either --config or --instance is required")
-        config = ExperimentConfig(
-            instance={"kind": "file", "path": args.instance},
-            algorithm=algorithm, params=params, eval=eval_cfg)
+        raise SystemExit("either --config or --instance is required")
+    accepted, _ = CONFIG_KEYS["params"][args.algorithm]
+    raw["params"] = {**raw.get("params", {}), **_given(args, accepted)}
+    raw["eval"] = {**raw.get("eval", {}), **_given(args, EVAL_KEYS)}
     if args.seed is not None:
-        config.seed = args.seed
-        config.seeds = None
-    if args.seeds is not None:
-        config.seeds = args.seeds
-    if args.budget is not None:
-        config.budget = args.budget
-    if args.report is not None:
-        config.output = args.report
-    if args.model_out is not None:
-        config.model_output = args.model_out
-    return config
+        raw.update(seed=args.seed, seeds=None)
+    raw.update(_given(args, ("seeds", "budget", "output", "model_output")))
+    return ExperimentConfig.from_dict(raw)
 
 
-def _run_and_print(config: ExperimentConfig) -> int:
+def _cmd_learn(args) -> int:
+    config = _config_from_args(args)
     report = run_experiment(config)
     if config.output:
         for outcome in report.outcomes:
@@ -203,61 +198,14 @@ def _run_and_print(config: ExperimentConfig) -> int:
     return 0 if report.passed else 1
 
 
-def _collect(pairs: dict) -> dict:
-    return {k: v for k, v in pairs.items() if v is not None}
-
-
-def _eval_cfg_from_args(args) -> dict:
-    return _collect({"tv_threshold": args.tv_threshold,
-                     "min_pass_fraction": args.min_pass_fraction})
-
-
-def _cmd_learn_exact(args) -> int:
-    params = _collect({"eps": args.eps, "delta": args.delta,
-                       "n_override": args.samples})
-    return _run_and_print(
-        _config_from_args(args, "exact", params, _eval_cfg_from_args(args)))
-
-
-def _cmd_learn_sampling(args) -> int:
-    params = _collect({
-        "basis_size": args.basis_size, "entry_samples": args.entry_samples,
-        "eig_threshold": args.eig_threshold, "ridge": args.ridge,
-        "regularity": args.regularity, "coeff_norm": args.coeff_norm,
-        "step_samples": args.step_samples,
-    })
-    return _run_and_print(
-        _config_from_args(args, "sampling", params, _eval_cfg_from_args(args)))
-
-
-def _cmd_find_basis(args) -> int:
-    params = _collect({
-        "t": args.t, "eps": args.eps, "regularity": args.regularity,
-        "rank_bound": args.rank_bound,
-        "candidates_per_round": args.candidates,
-        "loss_samples": args.loss_samples, "step_samples": args.step_samples,
-    })
-    eval_cfg = _eval_cfg_from_args(args)
-    if args.residual_threshold is not None:
-        eval_cfg["residual_threshold"] = args.residual_threshold
-    config = _config_from_args(args, "approx-basis", params, eval_cfg)
-    if "t" not in config.params:
-        raise SystemExit("--t is required (or set params.t in the config)")
-    return _run_and_print(config)
-
-
 def _cmd_eval(args) -> int:
-    dist = load_hmm(args.instance)
-    approx = to_distribution(load_model(args.model), flavor=args.flavor)
-    if _enumerable(dist):
-        tv = tv_exact(dist, approx)
-        print(f"tv_exact {tv:.6g}")
-    else:
-        tv = tv_conditional_bound(dist, approx, n_samples=args.tv_samples,
-                                  rng=np.random.default_rng(args.seed))
-        print(f"tv_bound {tv:.6g}")
+    out: dict = {}
+    _evaluate(load_hmm(args.instance),
+              to_distribution(load_model(args.model), flavor=args.flavor),
+              {"tv_samples": args.tv_samples}, args.seed, out)
+    print(f"tv_{out['tv_kind']} {out['tv']:.6g}")
     if args.tv_threshold is not None:
-        return 0 if tv <= args.tv_threshold else 1
+        return 0 if out["tv"] <= args.tv_threshold else 1
     return 0
 
 

@@ -93,6 +93,7 @@ _TABLE_ATOL = 1e-9  # total-mass tolerance for explicit tables
 # vectors): a direction counts when its singular value exceeds this fraction
 # of the largest.  Rounding leaves about 1e-16 on directions that are not there.
 _SUBSPACE_RTOL = 1e-12
+RANK_TOL = 1e-8  # relative singular-value cutoff of rank_of
 
 
 class EnumerationCapError(RuntimeError):
@@ -596,36 +597,38 @@ def numerical_rank(mat: np.ndarray, tol: float) -> int:
     return int(np.sum(s > tol * s[0]))
 
 
-def rank_of(dist, tol: float = 1e-8) -> int:
+def rank_of(dist) -> int:
     """Numerical rank: the max over splits ``t`` of the conditional matrix rank.
 
     The matrix at split ``t = 1..T-1`` holds ``Pr[f | h]`` for every
     positive-probability length-``t`` history ``h`` and every future ``f`` of
-    each length ``1..T-t``; singular values below ``tol`` times the largest
-    count as zero.  Zero-probability histories weigh nothing, for every type.
+    each length ``1..T-t``; singular values below ``RANK_TOL`` times the
+    largest count as zero.  Zero-probability histories weigh nothing, for
+    every type.
 
     An :class:`Hmm` enumerates nothing, so any horizon works: the matrix
     factors as the observable map ``M_{T-t}`` times the reachable forward
     vectors, and its rank is that of ``Q_{T-t}ᵀ R_t``.  ``Q_{T-t}`` comes from
     :func:`_observable_bases`, and ``R_t`` is an orthonormal basis of the span
     of the forward vectors ``K_{h_t}···K_{h_1} μ`` of all length-``t``
-    histories, which are zero exactly for the zero-probability ones.  ``tol``
-    acts on the singular values of that small matrix.  Other distributions
-    enumerate the futures of every length-``t`` history.
+    histories, which are zero exactly for the zero-probability ones.
+    ``RANK_TOL`` acts on the singular values of that small matrix.  Other
+    distributions enumerate the futures of every length-``t`` history.
     """
     T = dist.horizon
     if T == 1:
         return 1
     if not isinstance(dist, Hmm):
         return max(numerical_rank(np.hstack([future_table(dist, ell, t=t)[1]
-                                             for ell in range(1, T - t + 1)]), tol)
+                                             for ell in range(1, T - t + 1)]),
+                                  RANK_TOL)
                    for t in range(1, T))
     kernels = _kernels(dist)
     spans = _observable_bases(kernels, T - 1)
     reach, rank = _orth(dist.mu[:, None]), 0
     for t in range(1, T):
         reach = _orth(np.hstack(kernels @ reach))
-        rank = max(rank, numerical_rank(spans[T - t].T @ reach, tol))
+        rank = max(rank, numerical_rank(spans[T - t].T @ reach, RANK_TOL))
     return rank
 
 

@@ -7,6 +7,9 @@ import numpy as np
 from .distributions import Hmm, TableDist, _check_enum, future_table, numerical_rank
 from .sequences import Seq, all_seqs, seq_count, seq_to_index
 
+FULL_RANK_TRIES = 10_000  # rejection draws make_full_rank_hmm makes at most
+SPAN_TOL = 1e-9  # relative singular-value cutoff of greedy_spanning_bases
+
 
 def make_parity_hmm(horizon: int, subset: set[int] | None = None,
                     alpha: float = 0.2) -> Hmm:
@@ -72,8 +75,7 @@ def parity_joint_prob(seq: Seq, subset: set[int], alpha: float) -> float:
 
 
 def make_full_rank_hmm(n_states: int, n_symbols: int, horizon: int, seed: int,
-                       sigma_floor: float = 0.15,
-                       max_tries: int = 10_000) -> Hmm:
+                       sigma_floor: float = 0.15) -> Hmm:
     """Random HMM whose emission and transition matrices have full column rank.
 
     Columns are Dirichlet(1) draws, rejection-sampled until both matrices have
@@ -82,7 +84,7 @@ def make_full_rank_hmm(n_states: int, n_symbols: int, horizon: int, seed: int,
     if n_symbols < n_states:
         raise ValueError("full-rank emission needs n_symbols >= n_states")
     rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
+    for _ in range(FULL_RANK_TRIES):
         emission = rng.dirichlet(np.ones(n_symbols), size=n_states).T
         transition = rng.dirichlet(np.ones(n_states), size=n_states).T
         if min(np.linalg.svd(emission, compute_uv=False)[-1],
@@ -91,7 +93,7 @@ def make_full_rank_hmm(n_states: int, n_symbols: int, horizon: int, seed: int,
         mu = rng.dirichlet(np.ones(n_states))
         return Hmm(mu=mu, emission=emission, transition=transition, horizon=horizon)
     raise RuntimeError(
-        f"no draw met sigma_floor={sigma_floor} within {max_tries} tries"
+        f"no draw met sigma_floor={sigma_floor} within {FULL_RANK_TRIES} tries"
     )
 
 
@@ -197,7 +199,7 @@ def one_step_bases(dist) -> list[list[Seq]]:
     return bases
 
 
-def greedy_spanning_bases(dist, tol: float = 1e-9) -> list[list[Seq]]:
+def greedy_spanning_bases(dist) -> list[list[Seq]]:
     """Minimal per-level bases found by greedy rank-increase over histories.
 
     Scans length-``t`` histories in lexicographic order and keeps those whose
@@ -209,13 +211,14 @@ def greedy_spanning_bases(dist, tol: float = 1e-9) -> list[list[Seq]]:
     bases: list[list[Seq]] = [[()]]
     for t in range(1, T):
         joint, table = future_table(dist, T - t, t=t)
-        full_rank = numerical_rank(table[joint > 0.0], tol)
+        full_rank = numerical_rank(table[joint > 0.0], SPAN_TOL)
         members: list[Seq] = []
         rows: list[np.ndarray] = []
         for h, p, row in zip(all_seqs(O, t), joint, table):
             if len(rows) == full_rank:
                 break
-            if p > 0.0 and numerical_rank(np.vstack(rows + [row]), tol) > len(rows):
+            if (p > 0.0 and numerical_rank(np.vstack(rows + [row]), SPAN_TOL)
+                    > len(rows)):
                 members.append(h)
                 rows.append(row)
         bases.append(members)

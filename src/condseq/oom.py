@@ -190,8 +190,7 @@ def exact_coefficients(hmm: Hmm, members: list[Seq], history: Seq) -> np.ndarray
 
 
 def construct_exact_operators(hmm: Hmm, bases: list[list[Seq]],
-                              test_seqs: list[list[Seq]] | None = None,
-                              residual_tol: float = RESIDUAL_TOL) -> OomModel:
+                              test_seqs: list[list[Seq]] | None = None) -> OomModel:
     """Build exact operators for ``hmm`` over the given per-level bases.
 
     For every level the operator columns are the min-norm solutions of
@@ -208,11 +207,11 @@ def construct_exact_operators(hmm: Hmm, bases: list[list[Seq]],
 
     which has the same solutions, so any horizon works.  A zero-probability
     member has a zero belief, so its operator column is zero.
-    ``residual_tol`` and the ``PINV_CUTOFF`` of the solve then act on these
+    ``RESIDUAL_TOL`` and the ``PINV_CUTOFF`` of the solve then act on these
     ``Q`` coordinates, so a residual differs from its enumerated value: a
     parity T=3 level-1 basis missing one parity class leaves 0.187 here
     against 0.176 over the enumerated futures.  A residual above
-    ``residual_tol`` means the level-``t+1`` basis does not span the needed
+    ``RESIDUAL_TOL`` means the level-``t+1`` basis does not span the needed
     conditionals, which is reported rather than papered over.  One-step
     matrices (and test matrices ``Pr[λ | b]``, when ``test_seqs`` is given)
     are stored alongside.
@@ -231,7 +230,7 @@ def construct_exact_operators(hmm: Hmm, bases: list[list[Seq]],
         for o, rhs in enumerate(blocks, start=1):
             sol, *_ = np.linalg.lstsq(p_next, rhs, rcond=PINV_CUTOFF)
             residual = np.max(np.abs(p_next @ sol - rhs)) if rhs.size else 0.0
-            if residual > residual_tol:
+            if residual > RESIDUAL_TOL:
                 raise BasisSpanError(
                     f"level-{t + 1} basis cannot express symbol {o} "
                     f"continuations (residual {residual:.3g})"

@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from condseq.approx_basis import (
-    ApproxBasisState,
     RoundCapExceeded,
     coefficient_cap,
     elliptical_potential,
@@ -17,6 +16,7 @@ from condseq.approx_basis import (
     mixture_density,
     search_round_cap,
 )
+from condseq.bench import ExperimentConfig, run_experiment
 from condseq.distributions import Hmm
 from condseq.generators import make_parity_hmm
 from condseq.metrics import expected_span_residual
@@ -125,19 +125,23 @@ def test_min_capped_ridge_weighted_matches_row_scaling():
     np.testing.assert_allclose(beta, direct, atol=1e-9)
 
 
-def test_state_validation():
-    state = ApproxBasisState(members=[(1, 2)], coeff_cap=3.0, round_cap=4)
-    state.add((2, 2))
-    assert state.members == [(1, 2), (2, 2)]
-    with pytest.raises(ValueError):
-        state.add((1,))  # wrong length
-    with pytest.raises(ValueError):
-        ApproxBasisState(members=[(1,)], coeff_cap=0.0, round_cap=3)
-    with pytest.raises(ValueError):
-        ApproxBasisState(members=[(1,), (2,)], coeff_cap=1.0, round_cap=1)
-    tight = ApproxBasisState(members=[(1,)], coeff_cap=1.0, round_cap=1)
-    with pytest.raises(ValueError):
-        tight.add((2,))
+def test_spent_round_budget_raises_round_cap_exceeded(monkeypatch):
+    # a counterexample in the last round used to trip a bare ValueError
+    monkeypatch.setattr("condseq.approx_basis.search_round_cap",
+                        lambda *args: 1)
+    oracle = OracleHandle(make_parity_hmm(5), mode="sampling", seed=0)
+    with pytest.raises(RoundCapExceeded) as err:
+        find_approx_basis(oracle, t=3, seed=0)
+    (only,) = err.value.report["rounds"]
+    assert only["counterexample"] is not None
+    assert err.value.report["round_cap"] == 1
+
+    report = run_experiment(ExperimentConfig(
+        instance={"kind": "parity", "horizon": 5}, algorithm="approx-basis",
+        params={"t": 3}))
+    (outcome,) = report.outcomes
+    assert outcome["error"].startswith("RoundCapExceeded")
+    assert not report.passed
 
 
 def test_round_cap_exception_carries_report():

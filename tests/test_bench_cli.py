@@ -1,3 +1,5 @@
+import re
+
 import pytest
 import yaml
 
@@ -14,6 +16,14 @@ def parity_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("instances") / "parity.hmm"
     save_hmm(make_parity_hmm(4, alpha=0.2), path)
     return str(path)
+
+
+@pytest.fixture
+def no_oracle(monkeypatch):
+    """Fail any run that gets as far as building an oracle."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("an oracle was built")
+    monkeypatch.setattr("condseq.bench.OracleHandle", refuse)
 
 
 def _exact_config(parity_file, **overrides):
@@ -194,6 +204,13 @@ def test_cli_generate_writes_loadable_hmm(tmp_path, capsys):
     assert "rank 2" in capsys.readouterr().out
 
 
+def test_cli_generate_prints_the_rank_past_enumeration(tmp_path, capsys):
+    # the rank was printed only up to 2^16 sequences
+    assert main(["generate", "--kind", "parity", "--horizon", "20",
+                 "--out", str(tmp_path / "p20.hmm")]) == 0
+    assert "horizon 20, rank 2" in capsys.readouterr().out
+
+
 def test_cli_learn_exact_instance_report(parity_file, tmp_path, capsys):
     rpt = tmp_path / "run.yaml"
     code = main(["learn-exact", "--instance", parity_file,
@@ -253,7 +270,7 @@ def test_cli_learn_sampling_small(parity_file, capsys):
 
 
 def test_cli_find_basis_requires_t(parity_file):
-    with pytest.raises(SystemExit, match="--t is required"):
+    with pytest.raises(ValueError, match=r"missing config keys: params \['t'\]"):
         main(["find-basis", "--instance", parity_file])
 
 
@@ -357,3 +374,50 @@ def test_exact_params_that_cannot_work_are_rejected(parity_file):
                               ("--eps", "0", "eps"), ("--delta", "-1", "delta")]:
         with pytest.raises(ValueError, match=name):
             main(["learn-exact", "--instance", parity_file, flag, value])
+
+
+@pytest.mark.parametrize("spec, missing", [
+    ({"kind": "parity"}, "['horizon']"),
+    ({"kind": "file"}, "['path']"),
+    ({"kind": "overcomplete", "horizon": 4}, "['n_states']"),
+])
+def test_instance_without_a_required_key_is_rejected_before_any_query(
+        no_oracle, spec, missing):
+    # each used to construct, then raise KeyError inside run_experiment
+    kind = spec["kind"]
+    with pytest.raises(ValueError, match=re.escape(
+            f"missing config keys: instance {missing} (kind {kind!r})")):
+        run_experiment(ExperimentConfig(instance=spec, algorithm="exact"))
+
+
+def test_basis_search_without_t_is_rejected_before_any_query(no_oracle):
+    # used to raise TypeError at run time; only the CLI checked for t
+    with pytest.raises(ValueError, match=r"missing config keys: params \['t'\]"):
+        run_experiment(ExperimentConfig(
+            instance={"kind": "parity", "horizon": 4}, algorithm="approx-basis"))
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--seeds", ","], "seeds must be nonempty"),
+    (["--budget", "0"], "budget must be positive"),
+    (["--budget", "-5"], "budget must be positive"),
+])
+def test_cli_flags_get_the_config_checks(no_oracle, parity_file, flags, message):
+    # --seeds , ran zero seeds and passed; --budget skipped its check
+    with pytest.raises(ValueError, match=message):
+        main(["learn-exact", "--instance", parity_file, "--samples", "50",
+              *flags])
+
+
+@pytest.mark.parametrize("eval_cfg, message", [
+    ({"tv_threshold": "abc"}, "eval.tv_threshold must be a real number"),
+    ({"residual_threshold": True}, "eval.residual_threshold must be a real number"),
+    ({"tv_samples": 0}, r"eval.tv_samples must be an integer >= 1"),
+    ({"min_pass_fraction": 1.5}, r"eval.min_pass_fraction must lie in \[0, 1\]"),
+])
+def test_eval_values_are_checked_before_any_query(no_oracle, eval_cfg, message):
+    # tv_threshold: abc used to learn first, then raise TypeError
+    with pytest.raises(ValueError, match=message):
+        run_experiment(ExperimentConfig(
+            instance={"kind": "parity", "horizon": 4}, algorithm="exact",
+            eval=eval_cfg))
