@@ -132,6 +132,7 @@ class ExperimentConfig:
     schema: int = SCHEMA_VERSION
 
     def __post_init__(self) -> None:
+        self._check_types()
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}")
         _check_keys("params", self.params, self.algorithm, "algorithm")
@@ -146,12 +147,30 @@ class ExperimentConfig:
         if self.eval.get("tv", "auto") not in TV_KINDS:
             raise ValueError(f"eval.tv must be one of {TV_KINDS}")
         _check_eval_values(self.eval)
-        if self.budget is not None and self.budget <= 0:
-            raise ValueError("budget must be positive")
-        if self.seeds is not None and len(self.seeds) == 0:
-            raise ValueError("seeds must be nonempty when given")
         if self.schema != SCHEMA_VERSION:
             raise ValueError(f"unsupported config schema {self.schema}")
+
+    def _check_types(self) -> None:
+        """Section and seed types, checked before any key is looked up."""
+        for key in ("instance", "params", "eval"):
+            value = getattr(self, key)
+            if not isinstance(value, dict):
+                raise ValueError(f"{key} must be a mapping, got {value!r}")
+        if not (_is(self.seed, Integral) and self.seed >= 0):
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+        if self.seeds is not None:
+            if not isinstance(self.seeds, list):
+                raise ValueError(f"seeds must be a list, got {self.seeds!r}")
+            if not self.seeds:
+                raise ValueError("seeds must be nonempty when given")
+            for seed in self.seeds:
+                if not (_is(seed, Integral) and seed >= 0):
+                    raise ValueError(f"seeds must be integers >= 0, got {seed!r}")
+        if self.budget is not None:
+            if not _is(self.budget, Integral):
+                raise ValueError(f"budget must be an integer, got {self.budget!r}")
+            if self.budget <= 0:
+                raise ValueError("budget must be positive")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":

@@ -170,8 +170,10 @@ def _config_from_args(args) -> ExperimentConfig:
     else:
         raise SystemExit("either --config or --instance is required")
     accepted, _ = CONFIG_KEYS["params"][args.algorithm]
-    raw["params"] = {**raw.get("params", {}), **_given(args, accepted)}
-    raw["eval"] = {**raw.get("eval", {}), **_given(args, EVAL_KEYS)}
+    for section, keys in (("params", accepted), ("eval", EVAL_KEYS)):
+        # a section that is not a mapping is left for the config's own check
+        if isinstance(raw.setdefault(section, {}), dict):
+            raw[section] = {**raw[section], **_given(args, keys)}
     if args.seed is not None:
         raw.update(seed=args.seed, seeds=None)
     raw.update(_given(args, ("seeds", "budget", "output", "model_output")))

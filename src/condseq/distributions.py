@@ -15,10 +15,15 @@ An :class:`Hmm` and the learned-model wrappers
 (:func:`condseq.oom.to_distribution`) also offer the batched row walk
 ``row_conditionals(symbols)``: from an ``(n, L)`` int64 symbol array, the
 ``(n, L, O)`` next-symbol conditionals after every proper prefix of every
-row, one batched step per column.  A :class:`TableDist` does not; callers
-test for the method and otherwise ask one prefix at a time.  Batched and
-one-row values agree to rounding, not bit for bit: a row of a matrix product
-need not round like the matching matrix-vector product.  Learned-model
+row, one batched step per column.  An :class:`Hmm` also offers the joint
+block ``joint_block(prefixes, futures)``: from an ``(n, t)`` int64 prefix
+array and ``k`` futures, the ``(n, k)`` joint probabilities ``Pr[x·λ]``,
+each prefix's forward probability and belief times each future's backward
+vector.  Where ``conditional_prob((), x·λ)`` is exactly zero, so is the
+block's entry.  A :class:`TableDist` offers neither; callers test for the
+method and otherwise ask one prefix at a time.  Batched and one-row values
+agree to rounding, not bit for bit: a row of a matrix product need not round
+like the matching matrix-vector product.  Learned-model
 wrappers offer evaluation only: ``joint_prob``, ``conditional_prob`` and
 ``next_symbol_probs``, the row walk and the level walk ``prefix_levels``
 (which :func:`enumerate_joint` uses).  They have no sampling surface.
@@ -28,8 +33,9 @@ Truncated draws consume the random stream exactly like full ones: a draw with
 seeded generator, and leaves the generator in the same state, so the next
 draw is identical too.  Stopping early only skips simulation work.
 
-An HMM's two batched walks, the sampler :meth:`Hmm.sample_futures` and the
-row walk :meth:`Hmm.row_conditionals`, share one distinct-prefix step,
+An HMM's three batched walks, the sampler :meth:`Hmm.sample_futures`, the
+row walk :meth:`Hmm.row_conditionals` and the forward half of
+:meth:`Hmm.joint_block`, share one distinct-prefix step,
 :meth:`Hmm._children`: rows that share a prefix share its belief, so each
 step filters one belief per distinct prefix, however many rows there are.
 
@@ -329,6 +335,43 @@ class Hmm:
                 beliefs, node = self._children(beliefs, probs, node,
                                                symbols[:, t])
         return out
+
+    def joint_block(self, prefixes, futures: list[Seq]) -> np.ndarray:
+        """``(n, k)`` joint probabilities ``Pr[x_i·λ_j]``, forward times backward.
+
+        ``prefixes`` is an ``(n, t)`` int64 array whose row ``i`` is ``x_i``;
+        ``futures`` holds the ``k`` tests ``λ_j``.  The prefixes are walked
+        through the distinct-prefix tree of :meth:`row_conditionals`, which
+        gives each row's belief ``b_x`` and ``Pr[x]`` as the product of the
+        same next-symbol factors.  Each test's backward vector
+        ``β_λ = 1ᵀ K_{λ_L}···K_{λ_1}`` (:func:`_kernels`) is built once, and
+        the entry is ``Pr[x] · (b_x · β_λ)``.  Every term of a key whose
+        :meth:`conditional_prob` is exactly zero is a product with an exact
+        zero, so its entry is exactly zero too.
+        """
+        prefixes = np.asarray(prefixes, dtype=np.int64)
+        n, t = prefixes.shape
+        futures = [tuple(f) for f in futures]
+        O = self.n_symbols
+        if t + max(map(len, futures), default=0) > self.horizon:
+            raise ValueError("history plus future exceed horizon")
+        bad = [*prefixes[(prefixes < 1) | (prefixes > O)].tolist(),
+               *(o for f in futures for o in f if not 0 < o <= O)]
+        if bad:
+            raise ValueError(f"symbol {bad[0]} outside 1..{O}")
+        joint = np.ones(n)
+        # beliefs of the distinct prefixes; row i's prefix is node[i]
+        beliefs, node = self.mu[None, :], np.zeros(n, dtype=np.int64)
+        for s in range(t):
+            probs = beliefs @ self.emission.T
+            joint *= probs[node, prefixes[:, s] - 1]
+            beliefs, node = self._children(beliefs, probs, node, prefixes[:, s])
+        kernels = _kernels(self)
+        backward = np.ones((len(futures), self.n_states))
+        for j, future in enumerate(futures):
+            for o in reversed(future):
+                backward[j] = backward[j] @ kernels[o - 1]
+        return joint[:, None] * (beliefs @ backward.T)[node]
 
     def _children(self, beliefs: np.ndarray, probs: np.ndarray,
                   node: np.ndarray, symbols: np.ndarray

@@ -9,15 +9,17 @@ earliest point of disagreement to grow one level's history/test pair — which
 provably bumps that level's matrix rank by one.  When a sampling sweep finds no
 disagreement, the operators are packaged as a model.
 
-The sweep predicts each level at once: the level's test matrix is built once
-and all its distinct samples go through the operators as one ``(m, r)``
-array, one product per symbol.  The oracle's side is batched per level too:
-one uncharged ``prefetch`` simulates every true test value ``Pr[x·λ]`` of the
-level in a single row walk of the distribution.  Charging stays per read:
-the learner still reads true test values through its memo, one sample at a
-time, in draw order, up to the first disagreement, and each value it has not
-seen costs one exact query, so the queries, their order, their totals and a
-budget's cut-off are those of checking every sample in turn.  Processing a
+The sweep checks each level as one block.  The level's ``m`` distinct
+samples go through the operators as one ``(m, r)`` array, one product per
+symbol, and times the level's test matrix give the ``(m, k)`` predictions.
+One uncharged ``prefetch`` gives the ``(m, k)`` true values ``Pr[x·λ]``,
+prefix forward vectors times test backward vectors, and a value already in
+the learner's memo takes the place of the computed one.  One array comparison
+then finds the first disagreeing sample.  Charging stays per read: the
+learner reads through its memo, in draw order, every true test value of the
+samples up to and including that one, and each value it has not seen costs
+one exact query, so the queries, their order, their totals and a budget's
+cut-off are those of checking every sample in turn.  Processing a
 counterexample walks it once with a running coefficient vector, the same
 chain of products as predicting each of its prefixes from the root.
 """
@@ -151,17 +153,16 @@ def _true_tests(state: LearnerState, oracle: OracleHandle, prefix: Seq) -> np.nd
 
 
 def _predict_level(state: LearnerState, oracle: OracleHandle,
-                   operators: list[list[np.ndarray]], prefixes: list[Seq],
-                   t: int) -> np.ndarray:
-    """Predicted ``Pr[x·λ]`` of each length-``t`` prefix ``x`` and level test ``λ``.
+                   operators: list[list[np.ndarray]],
+                   symbols: np.ndarray) -> np.ndarray:
+    """Predicted ``Pr[x·λ]`` of each row ``x`` of ``symbols`` and level test ``λ``.
 
-    All prefixes go through the operators together in one
-    :func:`~condseq.oom.row_walk`; row ``i`` of the result belongs to
-    ``prefixes[i]``.
+    The ``(m, t)`` prefixes go through the operators together in one
+    :func:`~condseq.oom.row_walk`; row ``i`` of the result belongs to row
+    ``i`` of ``symbols``.
     """
-    symbols = np.array(prefixes, dtype=np.int64).reshape(len(prefixes), t)
     *_, g = row_walk(operators, symbols)
-    return g @ state.test_matrix(oracle, t).T
+    return g @ state.test_matrix(oracle, symbols.shape[1]).T
 
 
 def find_counterexample(state: LearnerState, operators: list[list[np.ndarray]],
@@ -170,21 +171,32 @@ def find_counterexample(state: LearnerState, operators: list[list[np.ndarray]],
     """First sampled prefix whose predicted test probabilities are off.
 
     Draws ``n`` joint-prefix samples per length ``t = 1..T`` (in that order)
-    and returns the first ``(prefix, t)`` with an ∞-norm disagreement above
-    ``eq_tol``; ``None`` if every check passes.  A level's distinct samples
-    are predicted in one batch, and the oracle simulates all their true test
-    values in one uncharged :meth:`~condseq.oracles.OracleHandle.prefetch`.
-    Those values are then read one sample at a time in draw order, up to the
-    first disagreement, so the oracle sees and charges the queries of checking
-    each sample in turn.
+    and returns the first distinct sample, in draw order, with an ∞-norm
+    disagreement above ``eq_tol`` as ``(prefix, t)``; ``None`` if every check
+    passes.  A level is checked as one block: its distinct samples are
+    predicted together, the oracle computes all their true test values in one
+    uncharged :meth:`~condseq.oracles.OracleHandle.prefetch`, and a value the
+    learner has already memoised replaces the computed one.  The learner then
+    reads, through its memo and in draw order, every true test value of the
+    samples up to and including the first disagreeing one, so the oracle
+    charges the queries of checking each sample in turn.
     """
     for t in range(1, state.horizon + 1):
         samples = list(dict.fromkeys(oracle.sample_joint(t, size=n)))
-        predicted = _predict_level(state, oracle, operators, samples, t)
-        oracle.prefetch(samples, state.tests[t])
-        for x, pred in zip(samples, predicted):
-            if np.max(np.abs(pred - _true_tests(state, oracle, x))) > eq_tol:
-                return x, t
+        symbols = np.array(samples, dtype=np.int64).reshape(len(samples), t)
+        predicted = _predict_level(state, oracle, operators, symbols)
+        true = oracle.prefetch(symbols, state.tests[t])
+        keys = [[((), x + lam) for lam in state.tests[t]] for x in samples]
+        for i, row in enumerate(keys):
+            for j, key in enumerate(row):
+                if key in state.values:
+                    true[i, j] = state.values[key]
+        bad = np.flatnonzero(np.max(np.abs(predicted - true), axis=1) > eq_tol)
+        for row in keys[:bad[0] + 1] if bad.size else keys:
+            for key in row:
+                state.pr(oracle, *key)
+        if bad.size:
+            return samples[bad[0]], t
     return None
 
 
@@ -255,12 +267,12 @@ def learn_exact(oracle: OracleHandle, eps: float = 0.05, delta: float = 0.1,
 
     ``n_override`` fixes the per-length sample count; otherwise it is recomputed
     each round from the current rank estimate.  ``n_override`` must be at
-    least 1, ``eps`` positive and ``delta`` inside ``(0, 1)``; anything else
-    raises ``ValueError`` before the first query.  Returns the learned model
-    (with test and one-step matrices attached for anchored prediction) and an
-    info dict with rounds, trace, and final sizes.  Aborts if the round count
-    exceeds the rank-based bound plus slack — that signals a broken invariant,
-    not a hard instance.
+    least 1, ``eps`` positive, ``delta`` inside ``(0, 1)`` and ``eq_tol``
+    finite and positive; anything else raises ``ValueError`` before the first
+    query.  Returns the learned model (with test and one-step matrices
+    attached for anchored prediction) and an info dict with rounds, trace,
+    and final sizes.  Aborts if the round count exceeds the rank-based bound
+    plus slack — that signals a broken invariant, not a hard instance.
     """
     if n_override is not None and n_override < 1:
         raise ValueError(f"n_override must be at least 1, got {n_override}")
@@ -268,6 +280,8 @@ def learn_exact(oracle: OracleHandle, eps: float = 0.05, delta: float = 0.1,
         raise ValueError(f"eps must be positive, got {eps}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    if not (math.isfinite(eq_tol) and eq_tol > 0.0):
+        raise ValueError(f"eq_tol must be finite and positive, got {eq_tol}")
     state = init_state(oracle)
     T = state.horizon
     while True:

@@ -12,11 +12,12 @@ the caller asks for (a truncated draw is the prefix of a full one).
 ``sample_joint`` returns joint draws as tuples.
 
 Exact values are read only through ``exact_query``, one charged query each.
-``prefetch`` is simulation, not a query: it charges nothing and returns
-nothing, but computes a batch of joint probabilities ``Pr[x·λ]`` in one row
-walk of the distribution, so that the ``exact_query`` calls which then read
-them, one at a time and each charged as before, need no simulation of their
-own.  Only the latest batch is held.
+``prefetch`` is simulation, not a query: it charges nothing.  It computes the
+``(m, k)`` block of joint probabilities ``Pr[x·λ]`` of ``m`` prefixes and
+``k`` tests, an HMM's as one product of forward and backward vectors
+(``Hmm.joint_block``), and returns it.  The ``exact_query`` calls that then
+read those keys, one at a time and each charged, are answered from the block
+and need no simulation of their own.  Only the latest block is held.
 """
 
 from __future__ import annotations
@@ -128,34 +129,34 @@ class OracleHandle:
             return self._prefetched[future]
         return self.dist.conditional_prob(history, future)
 
-    def prefetch(self, prefixes: list[Seq], tests: list[Seq]) -> None:
-        """Simulate ``Pr[x·λ]`` for every prefix ``x`` and test ``λ``; no query.
+    def prefetch(self, prefixes, tests: list[Seq]) -> np.ndarray:
+        """``(m, k)`` joint probabilities ``Pr[x·λ]``, held for reading; no query.
 
-        One ``row_conditionals`` walk of the distribution gives each
-        value as the left-to-right product of its symbols' conditionals, as
-        ``conditional_prob((), x·λ)`` defines it; :meth:`exact_query` then
-        answers those keys from this batch, which replaces the previous one.
-        A distribution without ``row_conditionals`` is not prefetched.
+        ``prefixes`` holds ``m`` prefixes of one length ``t`` (an ``(m, t)``
+        int64 array, or a list of tuples), ``tests`` the ``k`` tests.  An
+        :class:`~condseq.distributions.Hmm` computes the block in one
+        ``joint_block`` product of forward and backward vectors; another
+        distribution answers ``conditional_prob((), x·λ)`` one key at a time.
+        :meth:`exact_query` then answers those keys from this batch, which
+        replaces the previous one.  A key past the horizon raises
+        ``ValueError``, as it does in :meth:`exact_query`.
         """
         if self.mode != EXACT:
             raise WrongOracleMode("prefetch requires an exact-mode oracle")
-        self._prefetched = {}
-        if not hasattr(self.dist, "row_conditionals"):
-            return
-        keys = [key for key in (tuple(x) + tuple(lam) for x in prefixes for lam in tests)
-                if len(key) <= self.horizon]
-        lengths = np.array([len(key) for key in keys], dtype=np.int64)
-        width = int(lengths.max(initial=0))
-        # short keys are padded with symbol 1, whose conditionals go unused
-        symbols = np.array([key + (1,) * (width - len(key)) for key in keys],
-                           dtype=np.int64).reshape(len(keys), width)
-        conds = self.dist.row_conditionals(symbols)
-        steps = np.take_along_axis(conds, symbols[:, :, None] - 1, axis=2)[:, :, 0]
-        steps[np.arange(width) >= lengths[:, None]] = 1.0
-        probs = np.ones(len(keys))
-        for s in range(width):
-            probs *= steps[:, s]
-        self._prefetched = dict(zip(keys, probs.tolist()))
+        t = len(prefixes[0]) if len(prefixes) else 0
+        symbols = np.asarray(prefixes, dtype=np.int64).reshape(len(prefixes), t)
+        tests = [tuple(lam) for lam in tests]
+        if t + max(map(len, tests), default=0) > self.horizon:
+            raise ValueError("history plus future exceed horizon")
+        rows = rows_as_seqs(symbols, len(symbols))
+        keys = [x + lam for x in rows for lam in tests]
+        if hasattr(self.dist, "joint_block"):
+            block = self.dist.joint_block(symbols, tests)
+        else:
+            block = np.array([self.dist.conditional_prob((), key) for key in keys],
+                             dtype=float).reshape(len(rows), len(tests))
+        self._prefetched = dict(zip(keys, block.ravel().tolist()))
+        return block
 
     # -- sampling mode -----------------------------------------------------
 

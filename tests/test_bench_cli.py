@@ -363,11 +363,15 @@ def test_every_documented_instance_and_eval_key_is_accepted(parity_file):
 
 def test_exact_params_that_cannot_work_are_rejected(parity_file):
     # n_override=0 used to return a rank-one model after 0 rounds, eps=0 and
-    # delta=0 to divide by zero, and delta=-1 to give n=3200
+    # delta=0 to divide by zero, and delta=-1 to give n=3200; eq_tol=nan
+    # returned a rank-one model after 0 rounds, eq_tol=-1 blamed a learner bug
     for params, name in [({"n_override": 0}, "n_override"),
                          ({"n_override": -1}, "n_override"),
                          ({"eps": 0.0}, "eps"), ({"eps": -0.05}, "eps"),
-                         ({"delta": 0.0}, "delta"), ({"delta": -1.0}, "delta")]:
+                         ({"delta": 0.0}, "delta"), ({"delta": -1.0}, "delta"),
+                         ({"eq_tol": float("nan")}, "eq_tol"),
+                         ({"eq_tol": float("inf")}, "eq_tol"),
+                         ({"eq_tol": -1.0}, "eq_tol"), ({"eq_tol": 0.0}, "eq_tol")]:
         with pytest.raises(ValueError, match=name):
             run_experiment(_exact_config(parity_file, params=params))
     for flag, value, name in [("--samples", "0", "n_override"),
@@ -407,6 +411,39 @@ def test_cli_flags_get_the_config_checks(no_oracle, parity_file, flags, message)
     with pytest.raises(ValueError, match=message):
         main(["learn-exact", "--instance", parity_file, "--samples", "50",
               *flags])
+
+
+@pytest.mark.parametrize("override, message", [
+    pytest.param({"instance": None}, "instance must be a mapping", id="instance-null"),
+    pytest.param({"instance": [1]}, "instance must be a mapping", id="instance-list"),
+    pytest.param({"params": None}, "params must be a mapping", id="params-null"),
+    pytest.param({"eval": None}, "eval must be a mapping", id="eval-null"),
+    pytest.param({"seed": "a"}, "seed must be an integer >= 0", id="seed-str"),
+    pytest.param({"seed": -1}, "seed must be an integer >= 0", id="seed-negative"),
+    pytest.param({"seed": True}, "seed must be an integer >= 0", id="seed-bool"),
+    pytest.param({"seeds": 3}, "seeds must be a list", id="seeds-int"),
+    pytest.param({"seeds": [1, 1.5]}, "seeds must be integers >= 0, got 1.5",
+                 id="seeds-float"),
+    pytest.param({"seeds": [0, -2]}, "seeds must be integers >= 0, got -2",
+                 id="seeds-negative"),
+    pytest.param({"budget": "x"}, "budget must be an integer", id="budget-str"),
+    pytest.param({"budget": True}, "budget must be an integer", id="budget-bool"),
+])
+def test_config_types_are_checked_before_any_instance(no_oracle, monkeypatch,
+                                                      tmp_path, override, message):
+    # each used to raise AttributeError or TypeError, or to fail inside
+    # run_experiment, seeds: [1, 1.5] only after seed 1 had run in full
+    def refuse(spec):
+        raise AssertionError("an instance was built")
+    monkeypatch.setattr("condseq.bench.build_instance", refuse)
+    raw = {"instance": {"kind": "parity", "horizon": 4}, "algorithm": "exact",
+           **override}
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ExperimentConfig.from_file(path)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        main(["learn-exact", "--config", str(path)])
 
 
 @pytest.mark.parametrize("eval_cfg, message", [

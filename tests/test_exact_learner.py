@@ -164,6 +164,10 @@ def test_budget_cuts_the_sweep_where_the_per_sample_sweep_is_cut():
     ({"delta": 0.0}, "delta"),
     ({"delta": -1.0}, "delta"),
     ({"delta": 1.0}, "delta"),
+    ({"eq_tol": float("nan")}, "eq_tol"),
+    ({"eq_tol": float("inf")}, "eq_tol"),
+    ({"eq_tol": -1.0}, "eq_tol"),
+    ({"eq_tol": 0.0}, "eq_tol"),
 ])
 def test_learn_exact_rejects_parameters_that_cannot_work(kwargs, name):
     oracle = OracleHandle(make_parity_hmm(4, alpha=0.2), mode="exact", seed=0)
@@ -174,7 +178,7 @@ def test_learn_exact_rejects_parameters_that_cannot_work(kwargs, name):
 
 def test_learn_exact_cost_guard(monkeypatch):
     """Counted, not timed: parity T=12, n=200, oracle seed 0."""
-    calls = {"step": 0, "conditional_prob": 0}
+    calls = {"step": 0, "conditional_prob": 0, "row_conditionals": 0}
 
     def count(name):
         inner = getattr(Hmm, name)
@@ -185,12 +189,17 @@ def test_learn_exact_cost_guard(monkeypatch):
 
         monkeypatch.setattr(Hmm, name, counted)
 
-    count("step")
-    count("conditional_prob")
-    oracle, _, _ = _learn(make_parity_hmm(12, alpha=0.2), n_override=200)
+    for name in calls:
+        count(name)
+    oracle, _, info = _learn(make_parity_hmm(12, alpha=0.2), n_override=200)
     assert oracle.stats.total == 20_499
+    assert info["rounds"] == 11
+    assert oracle.stats.by_history_length == {0: 20_374, **dict.fromkeys(range(1, 11), 12),
+                                              11: 4, 12: 1}
     # filtering each query from the root took 28,676 steps; the one-row walk
     # that keeps the previous call's path takes 700 steps under 134
     # conditional_prob calls
     assert calls["step"] <= 1_000
     assert calls["conditional_prob"] <= 300
+    # the sweep's true values are forward x backward blocks, not row walks
+    assert calls["row_conditionals"] == 0

@@ -150,12 +150,17 @@ def test_prefetch_is_uncharged_and_holds_only_the_latest_batch():
     hmm = make_parity_hmm(5, alpha=0.3)
     want = hmm.conditional_prob((), (2, 1))
     oracle = OracleHandle(hmm, mode="exact")
-    # the second key is longer than the horizon and is left out of the batch
-    oracle.prefetch([(1, 2)], [(1,), (2, 2, 1, 1)])
-    oracle.prefetch([(2,)], [(1,)])
+    first = oracle.prefetch([(1, 2)], [(1,), (2, 2)])
+    assert first.shape == (1, 2)
+    # a key longer than the horizon is refused, as exact_query refuses it
+    with pytest.raises(ValueError, match="horizon"):
+        oracle.prefetch([(1, 2)], [(1,), (2, 2, 1, 1)])
+    block = oracle.prefetch([(2,)], [(1,)])
     assert oracle.stats.total == 0
     with mock.patch.object(Hmm, "conditional_prob", return_value=-1.0):
-        assert oracle.exact_query((), (2, 1)) == pytest.approx(want, rel=1e-15)
+        got = oracle.exact_query((), (2, 1))
+        assert got == pytest.approx(want, rel=1e-15)
+        assert block.tolist() == [[got]]  # the block is the held answers
         assert oracle.exact_query((), (1, 2, 1)) == -1.0  # the older batch is gone
         # a batch holds joint probabilities: a query with a history is simulated
         assert oracle.exact_query((2,), (2, 1)) == -1.0
@@ -165,9 +170,13 @@ def test_prefetch_is_uncharged_and_holds_only_the_latest_batch():
     oracle.budget = 3  # a held key is charged like any other
     with pytest.raises(BudgetExceeded):
         oracle.exact_query((), (2, 1))
-    # a table has no row walk: nothing is prefetched and queries are answered
+    # a table has no joint_block: its block is read one conditional_prob at a time
     table = OracleHandle(TABLE, mode="exact")
-    table.prefetch([(1,)], [(2,)])
-    assert table.exact_query((), (1, 2)) == pytest.approx(0.2)
+    prefixes, tests = [(1,), (2,)], [(1,), (2,)]
+    block = table.prefetch(prefixes, tests)
+    assert block.tolist() == [[TABLE.conditional_prob((), x + lam) for lam in tests]
+                              for x in prefixes]
+    assert table.exact_query((), (1, 2)) == block[0, 1]
+    assert table.stats.total == 1
     with pytest.raises(WrongOracleMode):
         OracleHandle(TABLE, mode="sampling").prefetch([()], [()])
