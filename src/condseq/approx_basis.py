@@ -181,7 +181,7 @@ def find_approx_basis(oracle: OracleHandle, t: int, eps: float = 0.1,
     threshold = eps * eps / 8.0
     rng = np.random.default_rng(seed)
     estimator = CondEstimator(oracle, step_samples)
-    members = [tuple(oracle.sample_joint(t))]
+    members = oracle.sample_joint(t, size=1)
     rounds: list[dict] = []
 
     def report() -> dict:

@@ -21,7 +21,7 @@ import yaml
 
 from .approx_basis import RoundCapExceeded, find_approx_basis
 from .distributions import EnumerationCapError, load_hmm, rank_of
-from .exact_learner import learn_exact
+from .exact_learner import LearnerInvariantError, learn_exact
 from .generators import (make_full_rank_hmm, make_overcomplete_hmm,
                          make_parity_hmm, make_random_table)
 from .metrics import expected_span_residual, tv_conditional_bound, tv_exact
@@ -261,11 +261,11 @@ def _enumerable(dist) -> bool:
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run every seed of the config and aggregate an ExperimentReport.
 
-    Per-seed failures from exhausted budgets, enumeration caps, or the basis
-    search's round cap are recorded in that seed's outcome (and fail the
-    aggregate verdict) instead of aborting the batch.  When ``output`` or
-    ``model_output`` paths are set the report and learned models are written
-    as a side effect.
+    Per-seed failures from exhausted budgets, enumeration caps, the basis
+    search's round cap or a broken exact-learner invariant are recorded in
+    that seed's outcome (and fail the aggregate verdict) instead of aborting
+    the batch.  When ``output`` or ``model_output`` paths are set the report
+    and learned models are written as a side effect.
     """
     started = time.perf_counter()
     dist = build_instance(config.instance)
@@ -311,7 +311,8 @@ def _run_seed(dist, config: ExperimentConfig, seed: int) -> dict:
         if model is not None and config.model_output:
             save_model(model, _seed_path(config.model_output, seed,
                                          len(config.run_seeds()) > 1))
-    except (BudgetExceeded, EnumerationCapError, RoundCapExceeded) as err:
+    except (BudgetExceeded, EnumerationCapError, LearnerInvariantError,
+            RoundCapExceeded) as err:
         out["error"] = f"{type(err).__name__}: {err}"
     out["queries"] = oracle.stats.as_dict()
     out["seconds"] = time.perf_counter() - started

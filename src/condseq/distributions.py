@@ -68,8 +68,8 @@ most ``S`` dimensions.  :func:`_observable_bases` gives orthonormal bases
 ``Q_Lᵀ`` times the reachable forward vectors.  These work at any horizon.
 
 Single sequences go through one prefix walk, ``Hmm._walk``, under
-``forward_filter``, ``joint_prob``, ``conditional_prob``,
-``next_symbol_probs`` and :func:`_beliefs`.
+``joint_prob``, ``conditional_prob``, ``next_symbol_probs``, :func:`_beliefs`
+and the start belief of ``sample_futures``.
 It walks from the root, keeping only the path of the previous call, so a
 query that shares a prefix with the one before it (an exact oracle asks
 ``Pr[x·λ]`` for many tests ``λ`` of one prefix ``x``) filters only the
@@ -77,6 +77,16 @@ symbols past that prefix.  Every belief is one :meth:`Hmm.step` from its
 parent's, so results are bit-identical to filtering from the root.  An HMM's
 parameters are read-only copies, and the beliefs on the kept path read-only
 arrays: an in-place edit raises instead of leaving a stale belief behind.
+
+The one-row ``step`` and its memo ``_last`` stay beside the distinct-prefix
+tree because one-row queries are what the exact learner asks, and the tree is
+slower at one row.  Measured on a 2-CPU VM (Python 3.11, numpy 2.4, one BLAS
+thread): ``_children`` costs about 40 µs per step at one row against about
+8.5 µs for ``step``; answering one-row queries through the tree ran
+perfbench's ``exact-parity20`` in 1.16–1.18 s against 0.88–0.96 s, and
+``sampling-parity5`` about 13% slower.  Without ``_last``, walking every
+query from the root makes 1,157 ``step`` calls learning parity T=12 (n=200,
+oracle seed 0), past the 1,000 that the exact learner's cost guard allows.
 """
 
 from __future__ import annotations
@@ -115,19 +125,6 @@ def _check_enum(n_symbols: int, length: int) -> None:
         raise EnumerationCapError(
             f"{n_symbols}^{length} sequences exceed the enumeration cap {ENUM_CAP}"
         )
-
-
-@dataclass
-class BeliefState:
-    """Posterior over hidden states after observing a history.
-
-    ``log_prob`` is the log joint probability of that history (``-inf`` when
-    the history has probability zero, in which case ``probs`` reflects the
-    uniform-reset convention).
-    """
-
-    probs: np.ndarray
-    log_prob: float
 
 
 @dataclass
@@ -231,15 +228,6 @@ class Hmm:
         self._last = (seq, path)
         return path
 
-    def forward_filter(self, history: Seq) -> BeliefState:
-        """Filter a history, returning the belief state and its log probability.
-
-        The belief is a read-only array, shared with the path the prefix walk
-        keeps for the next call.
-        """
-        belief, _, log_prob, _ = self._walk(history)[-1]
-        return BeliefState(belief, log_prob)
-
     # -- probabilities -----------------------------------------------------
 
     def joint_prob(self, seq: Seq) -> float:
@@ -290,7 +278,7 @@ class Hmm:
         length = self.horizon - len(history)
         steps = _check_steps(length, steps)
         # beliefs of the distinct prefixes; row i's prefix is node[i]
-        beliefs = self.forward_filter(history).probs[None, :]
+        beliefs = self._walk(history)[-1][0][None, :]
         node = np.zeros(size, dtype=np.int64)
         out = np.empty((size, steps), dtype=np.int64)
         for j in range(steps):

@@ -89,7 +89,7 @@ def tv_conditional_bound(p, q, n_samples: int = 0,
             q_next = q.row_conditionals(rows)
         else:
             q_next = np.array([[q.next_symbol_probs(x[:t]) for t in range(T)]
-                               for x in rows_as_seqs(rows, n_samples)])
+                               for x in rows_as_seqs(rows)])
         if hasattr(p, "row_conditionals"):
             p_next = p.row_conditionals(rows)
         else:

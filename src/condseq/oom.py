@@ -68,20 +68,18 @@ class OomModel:
         ``T + 1`` member lists; ``bases[t]`` holds length-``t`` histories.
     operators:
         ``operators[t][o - 1]`` has shape ``(len(bases[t+1]), len(bases[t]))``.
-    test_seqs, test_matrices:
-        Optional per-level anchor futures and their conditional probabilities
-        given the basis members (``test_matrices[t]`` is ``(m_t, n_t)``).
     step_matrices:
-        Optional per-level one-step probabilities; ``step_matrices[t]`` is
-        ``(O, n_t)`` with rows indexed by symbol.
+        Optional per-level one-step probabilities ``Pr[o | b]`` of the basis
+        members, which anchored prediction reads: ``T`` arrays, of which
+        ``step_matrices[t]`` is ``(O, n_t)`` with rows indexed by symbol.
+
+    A shape that breaks these rules raises ``ValueError``.
     """
 
     n_symbols: int
     horizon: int
     bases: list[list[Seq]]
     operators: list[list[np.ndarray]]
-    test_seqs: list[list[Seq]] | None = None
-    test_matrices: list[np.ndarray] | None = None
     step_matrices: list[np.ndarray] | None = None
 
     def __post_init__(self) -> None:
@@ -104,6 +102,16 @@ class OomModel:
                     raise ValueError(
                         f"operator ({o}, {t}) has shape {mat.shape}, expected {shape}"
                     )
+        if self.step_matrices is None:
+            return
+        if len(self.step_matrices) != T:
+            raise ValueError(f"need step matrices for levels 0..T-1, "
+                             f"got {len(self.step_matrices)}")
+        for t, mat in enumerate(self.step_matrices):
+            shape = (self.n_symbols, len(self.bases[t]))
+            if np.shape(mat) != shape:
+                raise ValueError(f"step matrix {t} has shape {np.shape(mat)}, "
+                                 f"expected {shape}")
 
     def basis_sizes(self) -> list[int]:
         return [len(members) for members in self.bases]
@@ -189,8 +197,7 @@ def exact_coefficients(hmm: Hmm, members: list[Seq], history: Seq) -> np.ndarray
     return beta
 
 
-def construct_exact_operators(hmm: Hmm, bases: list[list[Seq]],
-                              test_seqs: list[list[Seq]] | None = None) -> OomModel:
+def construct_exact_operators(hmm: Hmm, bases: list[list[Seq]]) -> OomModel:
     """Build exact operators for ``hmm`` over the given per-level bases.
 
     For every level the operator columns are the min-norm solutions of
@@ -213,8 +220,7 @@ def construct_exact_operators(hmm: Hmm, bases: list[list[Seq]],
     against 0.176 over the enumerated futures.  A residual above
     ``RESIDUAL_TOL`` means the level-``t+1`` basis does not span the needed
     conditionals, which is reported rather than papered over.  One-step
-    matrices (and test matrices ``Pr[λ | b]``, when ``test_seqs`` is given)
-    are stored alongside.
+    matrices are stored alongside.
     """
     _check_hmm(hmm)
     O, T = hmm.n_symbols, hmm.horizon
@@ -238,24 +244,11 @@ def construct_exact_operators(hmm: Hmm, bases: list[list[Seq]],
             per_symbol.append(sol)
         operators.append(per_symbol)
 
-    test_matrices = None
-    if test_seqs is not None:
-        test_matrices = []
-        for t in range(T + 1):
-            mat = np.array(
-                [[hmm.conditional_prob(b, lam) for b in bases[t]]
-                 for lam in test_seqs[t]]
-            ).reshape(len(test_seqs[t]), len(bases[t]))
-            # a zero-probability member's column is zero, like its belief
-            test_matrices.append(mat * levels[t].any(axis=0))
-
     return OomModel(
         n_symbols=O,
         horizon=T,
         bases=[list(members) for members in bases],
         operators=operators,
-        test_seqs=None if test_seqs is None else [list(s) for s in test_seqs],
-        test_matrices=test_matrices,
         step_matrices=[hmm.emission @ beliefs for beliefs in levels[:T]],
     )
 
@@ -453,19 +446,14 @@ def model_to_text(model: OomModel) -> str:
         for t, mat in enumerate(model.step_matrices):
             lines.append(f"steps {t} {mat.shape[0]} {mat.shape[1]}")
             lines += _matrix_lines(mat)
-    if model.test_seqs is not None and model.test_matrices is not None:
-        for t, (seqs, mat) in enumerate(zip(model.test_seqs, model.test_matrices)):
-            lines.append(f"tests {t} {mat.shape[0]} {mat.shape[1]}")
-            lines += [format_seq(s) for s in seqs]
-            lines += _matrix_lines(mat)
     return "\n".join(lines) + "\n"
 
 
 def model_from_text(text: str) -> OomModel:
     """Parse :func:`model_to_text` output; raises ``ValueError`` naming the line.
 
-    The ``steps`` and ``tests`` sections are optional, but each must be
-    complete when present.
+    A model file holds the bases and operators, then an optional ``steps``
+    section, which must be complete when present.  Nothing may follow it.
     """
     lines = _TextLines(text)
     lines.line("the condseq model header", _MODEL_HEADER)
@@ -474,57 +462,37 @@ def model_from_text(text: str) -> OomModel:
     sizes = lines.line("the sizes line", "sizes", T + 1, int, expected=[1],
                        minimum=1)
 
-    def sequence(lengths: range):
-        """Parser of a sequence over ``1..O`` whose length lies in ``lengths``."""
+    def member(t: int):
+        """Parser of a level-``t`` basis member: ``t`` symbols over ``1..O``."""
         def parse(text: str) -> Seq:
             seq = parse_seq(text)
             for o in seq:
                 if not 0 < o <= O:
                     raise ValueError(f"symbol {o} outside 1..{O}")
-            if len(seq) not in lengths:
-                raise ValueError(f"length {len(seq)} outside "
-                                 f"{lengths.start}..{lengths.stop - 1}")
+            if len(seq) != t:
+                raise ValueError(f"length {len(seq)}, expected {t}")
             return seq
         return parse
 
     bases: list[list[Seq]] = []
     for t in range(T + 1):
         lines.line(f"'basis {t}'", f"basis {t}")
-        bases.append([lines.line(f"basis {t} member", count=1,
-                                 kind=sequence(range(t, t + 1)))[0]
+        bases.append([lines.line(f"basis {t} member", count=1, kind=member(t))[0]
                       for _ in range(sizes[t])])
 
-    def section(kind: str, label: str, rows: int | None, cols: int) -> int:
-        """Check a section header ``kind label rows cols``; returns ``rows``."""
-        return lines.line(f"the '{kind} {label}' header", f"{kind} {label}", 2,
-                          int, expected=[rows, cols])[0]
+    def section(kind: str, label: str, rows: int, cols: int) -> np.ndarray:
+        """The ``rows × cols`` matrix after the header ``kind label rows cols``."""
+        lines.line(f"the '{kind} {label}' header", f"{kind} {label}", 2, int,
+                   expected=[rows, cols])
+        return lines.matrix(f"{kind} {label}", rows, cols)
 
-    operators = []
-    for t in range(T):
-        per_symbol = []
-        for o in range(1, O + 1):
-            rows = section("operator", f"{t} {o}", sizes[t + 1], sizes[t])
-            per_symbol.append(lines.matrix(f"operator ({o}, {t})", rows, sizes[t]))
-        operators.append(per_symbol)
-
+    operators = [[section("operator", f"{t} {o}", sizes[t + 1], sizes[t])
+                  for o in range(1, O + 1)] for t in range(T)]
     step_matrices = None
     if lines.peek() == "steps":
-        step_matrices = []
-        for t in range(T):
-            rows = section("steps", str(t), O, sizes[t])
-            step_matrices.append(lines.matrix(f"steps {t}", rows, sizes[t]))
-    test_seqs = test_matrices = None
-    if lines.peek() == "tests":
-        test_seqs, test_matrices = [], []
-        for t in range(T + 1):
-            rows = section("tests", str(t), None, sizes[t])
-            test_seqs.append([lines.line(f"tests {t} future", count=1,
-                                         kind=sequence(range(T - t + 1)))[0]
-                              for _ in range(rows)])
-            test_matrices.append(lines.matrix(f"tests {t}", rows, sizes[t]))
+        step_matrices = [section("steps", str(t), O, sizes[t]) for t in range(T)]
     lines.finish()
     return OomModel(n_symbols=O, horizon=T, bases=bases, operators=operators,
-                    test_seqs=test_seqs, test_matrices=test_matrices,
                     step_matrices=step_matrices)
 
 

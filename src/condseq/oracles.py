@@ -9,7 +9,7 @@ truncated prefixes) are available in both modes and count one query per draw.
 Sampling queries come as arrays: ``sample_futures`` returns one row per drawn
 future and charges one query per row, however many of the future's symbols
 the caller asks for (a truncated draw is the prefix of a full one).
-``sample_joint`` returns joint draws as tuples.
+``sample_joint`` returns joint draws as a list of tuples.
 
 Exact values are read only through ``exact_query``, one charged query each.
 ``prefetch`` is simulation, not a query: it charges nothing.  It computes the
@@ -148,7 +148,7 @@ class OracleHandle:
         tests = [tuple(lam) for lam in tests]
         if t + max(map(len, tests), default=0) > self.horizon:
             raise ValueError("history plus future exceed horizon")
-        rows = rows_as_seqs(symbols, len(symbols))
+        rows = rows_as_seqs(symbols)
         keys = [x + lam for x in rows for lam in tests]
         if hasattr(self.dist, "joint_block"):
             block = self.dist.joint_block(symbols, tests)
@@ -175,13 +175,12 @@ class OracleHandle:
 
     # -- both modes --------------------------------------------------------
 
-    def sample_joint(self, t: int, size: int | None = None):
-        """Length-``t`` prefix(es) of joint samples; one query each.
+    def sample_joint(self, t: int, size: int) -> list[Seq]:
+        """Length-``t`` prefixes of ``size`` joint samples; one query each.
 
         Only the first ``t`` symbols are simulated.
         """
         if not 0 <= t <= self.horizon:
             raise ValueError("prefix length out of range")
-        k = 1 if size is None else size
-        self._charge(k, 0, "joint_queries")
-        return rows_as_seqs(self.dist.sample_futures((), self.rng, k, t), size)
+        self._charge(size, 0, "joint_queries")
+        return rows_as_seqs(self.dist.sample_futures((), self.rng, size, t))

@@ -59,14 +59,9 @@ def distinct_rows(rows: np.ndarray, n_symbols: int) -> list[tuple[Seq, int]]:
                     counts[order].tolist()))
 
 
-def rows_as_seqs(rows: np.ndarray, size: int | None):
-    """Rows of a symbol array as tuples, following the ``size`` convention.
-
-    ``size=None`` asks for a single draw and gets the one row's tuple;
-    otherwise the list of all rows is returned.
-    """
-    seqs = list(map(tuple, rows.tolist()))
-    return seqs[0] if size is None else seqs
+def rows_as_seqs(rows: np.ndarray) -> list[Seq]:
+    """Rows of a symbol array as tuples, one per row."""
+    return list(map(tuple, rows.tolist()))
 
 
 def parse_seq(text: str) -> Seq:

@@ -295,7 +295,7 @@ def sampled_bound_loop(p, q, n_samples: int, rng: np.random.Generator) -> float:
     """
     O, T = p.n_symbols, p.horizon
     totals = np.zeros((T, O))
-    for x in rows_as_seqs(p.sample_futures((), rng, n_samples), n_samples):
+    for x in rows_as_seqs(p.sample_futures((), rng, n_samples)):
         prefixes = [x[:t] for t in range(T)]
         _, p_next = future_table(p, 1, histories=prefixes)
         q_next = np.array([q.next_symbol_probs(h) for h in prefixes])

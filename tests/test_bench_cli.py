@@ -127,6 +127,20 @@ def test_run_experiment_records_budget_error(parity_file):
     assert report.summary["n_errors"] == 1
 
 
+def test_run_experiment_records_invariant_errors_per_seed():
+    # oracle seeds 0 and 2 grow a level-3 table that is not full rank
+    report = run_experiment(ExperimentConfig(
+        instance={"kind": "overcomplete", "n_states": 8, "horizon": 10, "seed": 2},
+        algorithm="exact", params={"n_override": 200}, seeds=[0, 1, 2]))
+    assert [o["seed"] for o in report.outcomes] == [0, 1, 2]
+    errors = [o["error"] for o in report.outcomes]
+    for seed in (0, 2):
+        assert errors[seed].startswith("LearnerInvariantError: level-3 table lost full rank")
+    assert errors[1] is None
+    assert report.summary["n_errors"] == 2
+    assert not report.passed
+
+
 def test_run_experiment_sampling_outcome_shape(parity_file):
     config = ExperimentConfig(
         instance={"kind": "parity", "horizon": 3, "alpha": 0.2},

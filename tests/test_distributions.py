@@ -192,9 +192,9 @@ def test_tv_exact_of_an_hmm_filters_no_belief_batch(monkeypatch):
 
 def test_hmm_zero_probability_history_resets_belief_to_uniform():
     hmm = never_emits_two()
-    state = hmm.forward_filter((2,))
-    assert state.log_prob == -math.inf
-    np.testing.assert_allclose(state.probs, [0.5, 0.5])
+    belief, _, log_prob, _ = hmm._walk((2,))[-1]
+    assert log_prob == -math.inf
+    np.testing.assert_allclose(belief, [0.5, 0.5])
     assert hmm.joint_prob((2,)) == 0.0
     # conditionals continue from the uniform belief rather than failing
     assert hmm.conditional_prob((2,), (1,)) == pytest.approx(1.0)
@@ -286,11 +286,9 @@ def test_table_sampling_frequencies():
     rng = np.random.default_rng(42)
     draws = HAND_TABLE.sample_futures((), rng, 4000)
     counts = np.zeros(4)
-    for seq in rows_as_seqs(draws, 4000):
+    for seq in rows_as_seqs(draws):
         counts[seq_to_index(seq, 2)] += 1
     np.testing.assert_allclose(counts / 4000, HAND_TABLE.probs, atol=0.03)
-    single = rows_as_seqs(HAND_TABLE.sample_futures((), rng, 1), None)
-    assert isinstance(single, tuple) and len(single) == 2
 
 
 def test_hmm_sampling_matches_conditionals():
@@ -331,10 +329,10 @@ def test_truncated_draws_are_prefixes_of_full_draws(dist, full_draws):
 def test_sampled_rows_as_tuples_are_the_full_draws(dist, full_draws):
     new_rng, old_rng = np.random.default_rng(3), np.random.default_rng(3)
     draws = dist.sample_futures((1,), new_rng, 40)
-    assert rows_as_seqs(draws, 40) == full_draws(dist, (1,), old_rng, 40)
+    assert rows_as_seqs(draws) == full_draws(dist, (1,), old_rng, 40)
     single = dist.sample_futures((1,), new_rng, 1)
-    assert rows_as_seqs(single, None) == full_draws(dist, (1,), old_rng, 1)[0]
-    assert rows_as_seqs(dist.sample_futures((1,), new_rng, 0), 0) == []
+    assert rows_as_seqs(single) == full_draws(dist, (1,), old_rng, 1)
+    assert rows_as_seqs(dist.sample_futures((1,), new_rng, 0)) == []
     with pytest.raises(ValueError):
         dist.sample_futures((1,), new_rng, 5, steps=dist.horizon)
     with pytest.raises(ValueError):
@@ -494,9 +492,9 @@ def test_prefix_walk_is_bit_identical_to_filtering_from_root(data):
         elif kind == "joint":
             assert hmm.joint_prob(seq) == math.exp(log_prob)
         elif kind == "filter":
-            state = hmm.forward_filter(seq)
-            assert state.probs.tobytes() == belief.tobytes()
-            assert state.log_prob == log_prob
+            walked, _, walked_log_prob, _ = hmm._walk(seq)[-1]
+            assert walked.tobytes() == belief.tobytes()
+            assert walked_log_prob == log_prob
         elif kind == "next" and len(seq) < T:
             assert (hmm.next_symbol_probs(seq).tobytes()
                     == (hmm.emission @ belief).tobytes())
@@ -570,8 +568,7 @@ def test_hmm_parameters_and_beliefs_are_read_only():
     mu[0] = 1.0  # the HMM holds a copy, and the caller's array stays writable
     assert hmm.mu.tolist() == [0.5, 0.5]
     before = hmm.joint_prob((1, 2))
-    for arr in (hmm.mu, hmm.emission, hmm.transition,
-                hmm.forward_filter((1,)).probs):
+    for arr in (hmm.mu, hmm.emission, hmm.transition, hmm._walk((1,))[-1][0]):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0.25
     assert hmm.joint_prob((1, 2)) == before

@@ -3,7 +3,8 @@ import copy
 import numpy as np
 import pytest
 
-from condseq.distributions import Hmm
+from condseq.bench import INSTANCE_BUILDERS, ExperimentConfig, run_experiment
+from condseq.distributions import Hmm, save_hmm
 from condseq.exact_learner import (default_sample_count, find_counterexample,
                                    init_state, learn_exact,
                                    process_counterexample, solve_operators)
@@ -203,3 +204,35 @@ def test_learn_exact_cost_guard(monkeypatch):
     assert calls["conditional_prob"] <= 300
     # the sweep's true values are forward x backward blocks, not row walks
     assert calls["row_conditionals"] == 0
+
+
+# Every instance kind at desk scale, including the overcomplete HMMs (S > O)
+# whose tables decay naturally; the "file" kind is a saved parity HMM.
+CONFORMANCE = [
+    {"kind": "parity", "horizon": 6},
+    {"kind": "full-rank", "n_states": 3, "n_symbols": 4, "horizon": 5},
+    {"kind": "overcomplete", "n_states": 6, "n_symbols": 2, "horizon": 8},
+    {"kind": "overcomplete", "n_states": 6, "n_symbols": 3, "horizon": 6},
+    {"kind": "random-table", "n_symbols": 2, "horizon": 4},
+    {"kind": "random-table", "n_symbols": 3, "horizon": 3},
+    {"kind": "file"},
+]
+
+
+def test_conformance_grid_covers_every_instance_kind():
+    assert {spec["kind"] for spec in CONFORMANCE} == set(INSTANCE_BUILDERS)
+
+
+@pytest.mark.parametrize("spec", CONFORMANCE,
+                         ids=lambda spec: "-".join(map(str, spec.values())))
+def test_exact_learner_conformance(spec, tmp_path):
+    if spec["kind"] == "file":
+        path = tmp_path / "parity.hmm"
+        save_hmm(make_parity_hmm(5, alpha=0.2), path)
+        spec = {"kind": "file", "path": str(path)}
+    report = run_experiment(ExperimentConfig(
+        instance=spec, algorithm="exact", params={"n_override": 200},
+        seeds=[0, 1, 2], eval={"tv": "exact", "tv_threshold": 1e-9}))
+    assert [o["error"] for o in report.outcomes] == [None] * 3
+    assert all(o["tv"] <= 1e-9 for o in report.outcomes)
+    assert report.passed

@@ -15,6 +15,7 @@ from condseq.distributions import (
 )
 from condseq.generators import (
     greedy_spanning_bases,
+    make_full_rank_hmm,
     make_parity_hmm,
     parity_class_bases,
     parity_joint_prob,
@@ -89,6 +90,21 @@ def test_model_validation():
     with pytest.raises(ValueError):
         OomModel(n_symbols=2, horizon=1, bases=[[()], [(1,)]],
                  operators=[[np.ones((1, 1))]])
+
+
+def test_step_matrices_must_match_the_bases():
+    hmm = make_full_rank_hmm(3, 3, 3, seed=0)
+    model = _exact_model(hmm)
+    np.testing.assert_allclose(to_distribution(model).next_symbol_probs(()),
+                               hmm.next_symbol_probs(()), atol=1e-12)
+    # cut to their first rows, the root would predict (1/3, 1/3, 1/3)
+    for steps, message in (([m[:1] for m in model.step_matrices],
+                            r"step matrix 0 has shape \(1, 1\), expected \(3, 1\)"),
+                           (model.step_matrices[:-1], "got 2"),
+                           ([*model.step_matrices, np.ones((3, 1))], "got 4")):
+        with pytest.raises(ValueError, match=message):
+            OomModel(n_symbols=3, horizon=3, bases=model.bases,
+                     operators=model.operators, step_matrices=steps)
 
 
 def test_non_spanning_basis_is_reported():
@@ -262,15 +278,14 @@ def test_member_self_coefficients_equal_sigma_eigenprojection():
 
 def test_propagate_and_prefix_tests():
     hmm = make_parity_hmm(4, subset={2}, alpha=0.3)
-    model = construct_exact_operators(
-        hmm,
-        parity_class_bases(4, subset={2}),
-        test_seqs=[[(1,) * (4 - t)] for t in range(4)] + [[()]],
-    )
+    bases = parity_class_bases(4, subset={2})
+    model = construct_exact_operators(hmm, bases)
     prefix = (2, 1)
-    got = model.test_matrices[2] @ model.propagate(prefix)
+    # Pr[x·λ] = Σ_b g_b Pr[λ | b] over the level's members b
+    tests = np.array([hmm.conditional_prob(b, (1, 1)) for b in bases[2]])
+    got = tests @ model.propagate(prefix)
     want = hmm.joint_prob(prefix + (1, 1))
-    assert got[0] == pytest.approx(want, abs=1e-10)
+    assert got == pytest.approx(want, abs=1e-10)
     *_, g = row_walk(model.operators, np.array([prefix]))
     np.testing.assert_allclose(g[0], model.propagate(prefix), rtol=1e-12, atol=1e-15)
 
@@ -328,7 +343,7 @@ def test_model_text_round_trip_without_optional_sections():
     bare = OomModel(n_symbols=2, horizon=3, bases=full.bases,
                     operators=full.operators)
     clone = model_from_text(model_to_text(bare))
-    assert clone.test_matrices is None and clone.step_matrices is None
+    assert clone.step_matrices is None
     for seq in all_seqs(2, 3):
         assert eval_prob(clone, seq) == pytest.approx(eval_prob(bare, seq),
                                                       abs=1e-12)
@@ -340,14 +355,12 @@ def test_model_text_prefixes_fail_with_the_line_or_end_a_section(seed):
     rng = np.random.default_rng(seed)
     horizon = int(rng.integers(1, 5))
     hmm = random_hmm(rng, int(rng.integers(1, 4)), 2, horizon)
-    bases = greedy_spanning_bases(hmm)
-    tests = [[(1,)] for _ in range(horizon)] + [[()]]
-    model = construct_exact_operators(hmm, bases, test_seqs=tests)
+    model = construct_exact_operators(hmm, greedy_spanning_bases(hmm))
     lines = model_to_text(model).splitlines(keepends=True)
-    # a prefix may stop only where a whole optional section would begin
+    # a prefix may stop only where the optional section would begin
     boundaries = {k for k, ln in enumerate(lines)
-                  if ln.startswith(("steps 0 ", "tests 0 "))} | {len(lines)}
-    assert len(boundaries) == 3
+                  if ln.startswith("steps 0 ")} | {len(lines)}
+    assert len(boundaries) == 2
     for k in range(len(lines) + 1):
         text = "".join(lines[:k])
         if k not in boundaries:
@@ -360,40 +373,41 @@ def test_model_text_prefixes_fail_with_the_line_or_end_a_section(seed):
             for a, b in zip(got, want):
                 np.testing.assert_array_equal(a, b)
         assert (clone.step_matrices is None) == (k == min(boundaries))
-        assert (clone.test_matrices is None) == (k < len(lines))
+
+
+def _parity_model_lines() -> list[str]:
+    model = construct_exact_operators(make_parity_hmm(3, alpha=0.2),
+                                      parity_class_bases(3))
+    return model_to_text(model).splitlines()
+
+
+def _fails_at_a_tests_section(lines: list[str]) -> None:
+    """A model file has no ``tests`` section: one fails naming its header."""
+    text = "\n".join([*lines, "tests 0 1 1", "1", "0.5"])
+    with pytest.raises(ValueError, match=rf"^line {len(lines) + 1}: "):
+        model_from_text(text)
 
 
 def test_model_text_rejects_symbols_outside_the_alphabet():
-    tests = [[(1,)] for _ in range(3)] + [[()]]
-    model = construct_exact_operators(make_parity_hmm(3, alpha=0.2),
-                                      parity_class_bases(3), test_seqs=tests)
-    lines = model_to_text(model).splitlines()
+    lines = _parity_model_lines()
     member = lines.index("basis 1") + 2  # the member 2
-    future = lines.index("tests 0 1 1") + 1  # the test future 1
-    for row, text in ((member, "7"), (member, "0"), (future, "1,0"),
-                      (future, "3")):
-        edited = lines[:row] + [text] + lines[row + 1:]
+    for text in ("7", "0"):
+        edited = lines[:member] + [text] + lines[member + 1:]
         with pytest.raises(ValueError,
-                           match=rf"^line {row + 1}: .*outside 1\.\.2"):
+                           match=rf"^line {member + 1}: .*outside 1\.\.2"):
             model_from_text("\n".join(edited))
+    _fails_at_a_tests_section(lines)
 
 
 def test_model_text_rejects_sequences_of_the_wrong_length():
-    # a level-t basis member has length t; a level-t test future at most T - t
-    tests = [[(1,)] for _ in range(3)] + [[()]]
-    model = construct_exact_operators(make_parity_hmm(3, alpha=0.2),
-                                      parity_class_bases(3), test_seqs=tests)
-    lines = model_to_text(model).splitlines()
+    # a level-t basis member has length t
+    lines = _parity_model_lines()
     member = lines.index("basis 1") + 2  # the member 2
-    future = lines.index("tests 0 1 1") + 1  # the test future 1
-    last = lines.index("tests 3 1 1") + 1  # the empty test future
-    for row, text in ((member, "1,2"), (member, "-"), (future, "1,2,1,2,1"),
-                      (last, "1")):
-        edited = lines[:row] + [text] + lines[row + 1:]
-        with pytest.raises(ValueError, match=rf"^line {row + 1}: .*length"):
+    for text in ("1,2", "-"):
+        edited = lines[:member] + [text] + lines[member + 1:]
+        with pytest.raises(ValueError, match=rf"^line {member + 1}: .*length"):
             model_from_text("\n".join(edited))
-    edited = lines[:future] + ["1,2,1"] + lines[future + 1:]
-    assert model_from_text("\n".join(edited)).test_seqs[0] == [(1, 2, 1)]
+    _fails_at_a_tests_section(lines)
 
 
 def test_model_text_rejects_out_of_range_headers_and_non_finite_values():

@@ -51,7 +51,7 @@ def test_budget_enforced_across_query_kinds():
     oracle.sample_joint(1, size=2)
     assert oracle.stats.total == 10
     with pytest.raises(BudgetExceeded):
-        oracle.sample_joint(1)
+        oracle.sample_joint(1, size=1)
 
 
 def test_sampling_is_deterministic_given_seed():
@@ -67,11 +67,11 @@ def test_sample_joint_prefix_shapes():
     oracle = OracleHandle(TABLE, mode="sampling", seed=5)
     prefixes = oracle.sample_joint(1, size=30)
     assert all(len(p) == 1 and p[0] in (1, 2) for p in prefixes)
-    single = oracle.sample_joint(2)
-    assert isinstance(single, tuple) and len(single) == 2
+    single = oracle.sample_joint(2, size=1)
+    assert len(single) == 1 and len(single[0]) == 2
     assert oracle.sample_joint(0, size=3) == [(), (), ()]
     with pytest.raises(ValueError):
-        oracle.sample_joint(3)
+        oracle.sample_joint(3, size=1)
 
 
 def test_sample_futures_frequencies():
