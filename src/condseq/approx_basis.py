@@ -17,7 +17,8 @@ import time
 import numpy as np
 
 from .estimation import CondEstimator
-from .oracles import SAMPLING, OracleHandle, WrongOracleMode
+from .oracles import (SAMPLING, OracleHandle, WrongOracleMode, check_count,
+                      check_positive)
 from .sampling_learner import repeat_basis
 from .sequences import Seq, distinct_rows
 
@@ -157,24 +158,24 @@ def find_approx_basis(oracle: OracleHandle, t: int, eps: float = 0.1,
     times that unit-norm coefficients suffice downstream (the report keeps
     the distinct members).
 
-    ``eps`` and ``regularity`` must lie in ``(0, 1]`` and every count must be
-    at least 1; anything else raises ``ValueError`` before the first query.
+    ``eps`` and ``regularity`` must be reals in ``(0, 1]`` and ``t`` and every
+    count ints of at least 1; anything else, a bool included, raises
+    ``ValueError`` before the first query.
     Raises ``RoundCapExceeded`` when the round budget runs out, which means
     the declared regularity or rank bound does not hold.
     """
     if oracle.mode != SAMPLING:
         raise WrongOracleMode("find_approx_basis requires a sampling oracle")
-    if not 1 <= t <= oracle.horizon:
+    check_count("t", t)
+    if t > oracle.horizon:
         raise ValueError("prefix length out of range")
     for name, value in (("eps", eps), ("regularity", regularity)):
-        if not 0.0 < value <= 1.0:
-            raise ValueError(f"{name} must lie in (0, 1], got {value}")
+        check_positive(name, value, high=1.0)
     for name, value in (("rank_bound", rank_bound),
                         ("candidates_per_round", candidates_per_round),
                         ("loss_samples", loss_samples),
                         ("step_samples", step_samples)):
-        if value < 1:
-            raise ValueError(f"{name} must be at least 1, got {value}")
+        check_count(name, value)
     started = time.perf_counter()
     cap = coefficient_cap(oracle.horizon, rank_bound, eps, regularity)
     budget = search_round_cap(oracle.horizon, rank_bound, eps, regularity)

@@ -271,6 +271,14 @@ class Hmm:
         ``length - steps`` steps of a full future would use are discarded, so
         the random stream is unchanged.
 
+        A row with uniform ``u`` draws symbol ``1 + #{k < O-1 : cum[k] <= u}``,
+        counted by ``O - 1`` vector compares, where ``cum`` is its prefix's
+        cumulative distribution made nondecreasing by a running maximum, with
+        its last edge raised to at least 1.  That is the first symbol whose
+        edge lies above ``u``, the symbol ``argmax(cum > u) + 1`` picks: the
+        edges at or below ``u`` are exactly the ones before it, and the last
+        edge, at least 1 > u, never counts.
+
         A zero-probability symbol can only be drawn past the rounding guard on
         the last cumulative edge (probability about 1e-16 per draw); its
         belief then restarts from uniform, as in :meth:`step`.
@@ -283,13 +291,18 @@ class Hmm:
         out = np.empty((size, steps), dtype=np.int64)
         for j in range(steps):
             probs = beliefs @ self.emission.T
-            cum = np.cumsum(probs, axis=1)
+            # parameters may dip below zero by _COL_ATOL, so an edge could
+            # fall; the running maximum keeps the count on the first edge above u
+            cum = np.maximum.accumulate(np.cumsum(probs, axis=1), axis=1)
             # guard against rounding: force the last edge to cover u
             cum[:, -1] = np.maximum(cum[:, -1], 1.0)
             u = rng.random(size)
-            out[:, j] = (cum[node] > u[:, None]).argmax(axis=1) + 1
+            symbols = np.ones(size, dtype=np.int64)
+            for k in range(self.n_symbols - 1):
+                symbols += u >= cum[:, k][node]
+            out[:, j] = symbols
             if j + 1 < steps:
-                beliefs, node = self._children(beliefs, probs, node, out[:, j])
+                beliefs, node = self._children(beliefs, probs, node, symbols)
         if steps < length:
             rng.random(size * (length - steps))
         return out

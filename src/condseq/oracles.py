@@ -22,7 +22,9 @@ and need no simulation of their own.  Only the latest block is held.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -30,6 +32,26 @@ from .sequences import Seq, rows_as_seqs
 
 EXACT = "exact"
 SAMPLING = "sampling"
+
+
+def check_count(name: str, value, least: int = 1) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is an int >= ``least``.
+
+    A bool is refused, though Python counts it as an int.
+    """
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def check_positive(name: str, value, high: float = math.inf) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is a real in ``(0, high]``.
+
+    NaN, infinities and bools are refused.
+    """
+    if (isinstance(value, bool) or not isinstance(value, Real)
+            or not (math.isfinite(value) and 0.0 < value <= high)):
+        bound = "> 0" if high == math.inf else f"in (0, {high}]"
+        raise ValueError(f"{name} must be a finite real {bound}, got {value!r}")
 
 
 class BudgetExceeded(RuntimeError):
@@ -166,9 +188,12 @@ class OracleHandle:
 
         Sampling mode only; returns a ``(size, steps)`` int64 array (all
         ``T - len(history)`` symbols by default) and charges one query per row.
+        ``size`` must be an int >= 0; anything else raises ``ValueError``
+        before a query is charged.
         """
         if self.mode != SAMPLING:
             raise WrongOracleMode("sample_futures requires a sampling-mode oracle")
+        check_count("size", size, least=0)
         history = tuple(history)
         self._charge(size, len(history), "sample_queries")
         return self.dist.sample_futures(history, self.rng, size, steps)
@@ -178,9 +203,12 @@ class OracleHandle:
     def sample_joint(self, t: int, size: int) -> list[Seq]:
         """Length-``t`` prefixes of ``size`` joint samples; one query each.
 
-        Only the first ``t`` symbols are simulated.
+        Only the first ``t`` symbols are simulated.  ``t`` and ``size`` must be
+        ints >= 0; anything else raises ``ValueError`` before a query is charged.
         """
-        if not 0 <= t <= self.horizon:
+        check_count("t", t, least=0)
+        check_count("size", size, least=0)
+        if t > self.horizon:
             raise ValueError("prefix length out of range")
         self._charge(size, 0, "joint_queries")
         return rows_as_seqs(self.dist.sample_futures((), self.rng, size, t))

@@ -20,7 +20,8 @@ import numpy as np
 from .distributions import ZeroProbabilityHistory
 from .estimation import CondEstimator
 from .oom import OomModel
-from .oracles import SAMPLING, OracleHandle, WrongOracleMode
+from .oracles import (SAMPLING, OracleHandle, WrongOracleMode, check_count,
+                      check_positive)
 from .sequences import Seq, distinct_rows
 
 log = logging.getLogger(__name__)
@@ -28,7 +29,7 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class AlgoParams:
-    """Knobs for the sampling-based learner."""
+    """Knobs for the sampling-based learner; counts are ints, the rest positive."""
 
     basis_size: int = 20         # histories drawn per level
     entry_samples: int = 10_000  # futures per preconditioned-sum column
@@ -40,13 +41,10 @@ class AlgoParams:
 
     def __post_init__(self) -> None:
         for name in ("basis_size", "entry_samples", "step_samples"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if not 0.0 < self.eig_threshold <= 1.0:
-            raise ValueError("eig_threshold must lie in (0, 1]")
+            check_count(name, getattr(self, name))
         for name in ("ridge", "regularity", "coeff_norm"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+            check_positive(name, getattr(self, name))
+        check_positive("eig_threshold", self.eig_threshold, high=1.0)
 
 
 @dataclass
@@ -87,9 +85,8 @@ class PrecondEstimates:
 
 def draw_basis(oracle: OracleHandle, t: int, n: int) -> list[Seq]:
     """``n`` i.i.d. joint prefixes of length ``t``; duplicates are kept."""
-    if n <= 0:
-        raise ValueError("basis size must be positive")
-    return [tuple(s) for s in oracle.sample_joint(t, size=n)]
+    check_count("basis size", n)
+    return oracle.sample_joint(t, size=n)
 
 
 def repeat_basis(members: list[Seq], coeff_norm: float) -> list[Seq]:
@@ -101,22 +98,7 @@ def repeat_basis(members: list[Seq], coeff_norm: float) -> list[Seq]:
     brings the needed norm down to one.
     """
     copies = math.ceil(coeff_norm**2)
-    if copies <= 1:
-        return list(members)
     return [b for b in members for _ in range(copies)]
-
-
-def _draw_future_batch(oracle: OracleHandle, history: Seq,
-                       m: int) -> list[tuple[Seq, int]]:
-    """``m`` sampled futures of ``history`` as (value, multiplicity) pairs.
-
-    Distinct futures come in order of first appearance.
-    """
-    try:
-        draws = oracle.sample_futures(history, m)
-    except ZeroProbabilityHistory:
-        return []
-    return distinct_rows(draws, oracle.n_symbols)
 
 
 def estimate_sigma_and_q(estimator: CondEstimator, basis: list[Seq],
@@ -127,35 +109,38 @@ def estimate_sigma_and_q(estimator: CondEstimator, basis: list[Seq],
     One batch of ``entry_samples`` futures is drawn per distinct conditioning
     history — the basis members themselves for the second-moment matrix, the
     one-symbol extensions of the previous level's members for the cross
-    moments — and every entry in that column reuses the batch.  The matrix is
-    symmetrized after estimation.
+    moments — and every entry in that column reuses the batch, summing its
+    distinct futures' terms in batch order.  The matrix is symmetrized after
+    estimation.
     """
-    n_symbols = estimator.oracle.n_symbols
-    n, n_prev = len(basis), len(prev_basis)
+    oracle, n_symbols = estimator.oracle, estimator.oracle.n_symbols
     extended = [b + (o,) for b in prev_basis for o in range(1, n_symbols + 1)]
-    batches = {
-        x: _draw_future_batch(estimator.oracle, x, params.entry_samples)
-        for x in dict.fromkeys(list(basis) + extended)
-    }
+    batches: dict[Seq, list[tuple[Seq, int]]] = {}
+    for x in dict.fromkeys(list(basis) + extended):
+        try:
+            batches[x] = distinct_rows(oracle.sample_futures(x, params.entry_samples),
+                                       n_symbols)
+        except ZeroProbabilityHistory:
+            batches[x] = []
 
-    futures = list(dict.fromkeys(f for batch in batches.values() for f, _ in batch))
-    rel = estimator.gated_block(basis, futures, params.regularity)
+    row = {f: i for i, f in enumerate(
+        dict.fromkeys(f for batch in batches.values() for f, _ in batch))}
+    rel = estimator.gated_block(basis, list(row), params.regularity)
     mix = rel.mean(axis=1, keepdims=True)
-    ratios = dict(zip(futures, np.divide(rel, mix, out=np.zeros_like(rel),
-                                         where=mix > 0.0)))
+    ratios = np.divide(rel, mix, out=np.zeros_like(rel), where=mix > 0.0)
+    columns = {}
+    for x, batch in batches.items():
+        # a zero row (an empty batch sums to 0), then the terms: accumulate
+        # adds them in order, where sum() may pair them and round differently
+        terms = np.zeros((len(batch) + 1, len(basis)))
+        terms[1:] = (np.array([c for _, c in batch], dtype=float)[:, None]
+                     * ratios[[row[f] for f, _ in batch]])
+        columns[x] = np.add.accumulate(terms, axis=0)[-1] / params.entry_samples
 
-    def column(x: Seq) -> np.ndarray:
-        col = np.zeros(n)
-        for future, count in batches[x]:
-            col += count * ratios[future]
-        return col / params.entry_samples
-
-    sigma = np.column_stack([column(b) for b in basis])
+    sigma = np.column_stack([columns[b] for b in basis])
     sigma = 0.5 * (sigma + sigma.T)
-    q = np.empty((n, n_prev, n_symbols))
-    for j, b in enumerate(prev_basis):
-        for o in range(1, n_symbols + 1):
-            q[:, j, o - 1] = column(b + (o,))
+    q = np.column_stack([columns[x] for x in extended]).reshape(
+        len(basis), len(prev_basis), n_symbols)
     one_step = estimate_one_step(estimator, prev_basis)
     return PrecondEstimates(sigma=sigma, q=q, one_step=one_step)
 
@@ -163,9 +148,6 @@ def estimate_sigma_and_q(estimator: CondEstimator, basis: list[Seq],
 def estimate_one_step(estimator: CondEstimator,
                       members: list[Seq]) -> np.ndarray:
     """Empirical next-symbol frequencies, one row per member."""
-    n_symbols = estimator.oracle.n_symbols
-    if not members:
-        return np.zeros((0, n_symbols))
     return np.vstack([estimator.next_symbol_freqs(b) for b in members])
 
 
@@ -177,10 +159,7 @@ def top_eigenspace(sigma: np.ndarray, threshold: float) -> np.ndarray:
     """
     sym = 0.5 * (sigma + sigma.T)
     eigvals, eigvecs = np.linalg.eigh(sym)
-    keep = eigvals > 0.5 * threshold
-    if not np.any(keep):
-        return np.zeros_like(sym)
-    vecs = eigvecs[:, keep]
+    vecs = eigvecs[:, eigvals > 0.5 * threshold]
     return vecs @ vecs.T
 
 
@@ -245,34 +224,28 @@ def learn_sampling(oracle: OracleHandle,
     levels: list[dict] = []
 
     for t in range(1, horizon):
-        level_start = time.perf_counter()
         queries_before = oracle.stats.total
-
-        phase_start = time.perf_counter()
+        level_start = phase_start = time.perf_counter()
         basis = repeat_basis(draw_basis(oracle, t, params.basis_size),
                              params.coeff_norm)
-        _log_phase(oracle, t, "basis", phase_start,
-                   f" distinct={len(set(basis))}")
+        phase_start = _log_phase(oracle, t, "basis", phase_start,
+                                 f" distinct={len(set(basis))}")
 
-        phase_start = time.perf_counter()
         est = estimate_sigma_and_q(estimator, basis, bases[t - 1], params)
-        _log_phase(oracle, t, "moments", phase_start)
+        phase_start = _log_phase(oracle, t, "moments", phase_start)
 
-        phase_start = time.perf_counter()
         eigvals = np.linalg.eigvalsh(est.sigma)[::-1]
         proj = top_eigenspace(est.sigma, params.eig_threshold)
         kept = int(round(np.trace(proj)))
-        _log_phase(oracle, t, "eigenspace", phase_start,
-                   f" kept={kept} spectrum={np.array2string(eigvals, precision=4)}")
+        spectrum = (np.array2string(eigvals, precision=4)
+                    if log.isEnabledFor(logging.INFO) else "")
+        phase_start = _log_phase(oracle, t, "eigenspace", phase_start,
+                                 f" kept={kept} spectrum={spectrum}")
 
-        phase_start = time.perf_counter()
-        n, n_prev = len(basis), len(bases[t - 1])
-        beta = ridge_coefficients(
-            est.sigma, est.q.reshape(n, n_prev * n_symbols), params.ridge
-        ).reshape(n, n_prev, n_symbols)
-        _log_phase(oracle, t, "solve", phase_start)
+        beta = ridge_coefficients(est.sigma, est.q.reshape(len(basis), -1),
+                                  params.ridge).reshape(est.q.shape)
+        phase_start = _log_phase(oracle, t, "solve", phase_start)
 
-        phase_start = time.perf_counter()
         operators.append([
             assemble_operator(proj, projections[t - 1], beta[:, :, o],
                               est.one_step[:, o])
@@ -322,6 +295,8 @@ def learn_sampling(oracle: OracleHandle,
 
 
 def _log_phase(oracle: OracleHandle, t: int, phase: str, start: float,
-               extra: str = "") -> None:
+               extra: str = "") -> float:
+    """Log a phase of level ``t`` that began at ``start``; return the time now."""
     log.info("level %d %s: %.2fs, %d queries%s", t, phase,
              time.perf_counter() - start, oracle.stats.total, extra)
+    return time.perf_counter()

@@ -41,19 +41,36 @@ def seq_to_index(seq: Sequence[int], n_symbols: int) -> int:
     return idx
 
 
+def shortlex_rank(seq: Sequence[int], n_symbols: int) -> int:
+    """Rank of ``seq`` among sequences of every length, shorter ones first.
+
+    Its :func:`seq_to_index` code plus the number of shorter sequences, so
+    ``()`` has rank 0 and ``s + (o,)`` has rank ``n_symbols * rank(s) + o``.
+    """
+    return seq_to_index(seq, n_symbols) + sum(n_symbols**i for i in range(len(seq)))
+
+
 def distinct_rows(rows: np.ndarray, n_symbols: int) -> list[tuple[Seq, int]]:
     """Distinct rows of a ``(k, L)`` symbol array with their multiplicities.
 
     Rows are collapsed through their :func:`seq_to_index` codes and returned
     in order of first appearance, the order ``Counter(map(tuple,
-    rows)).items()`` gives.  Codes are int64, so ``n_symbols ** L`` must fit.
+    rows)).items()`` gives.  The codes sit in the narrowest unsigned dtype
+    that holds ``n_symbols ** L - 1`` (``np.min_scalar_type``): uint8 up to
+    256 sequences, uint16 up to 65,536, and so on.  ``np.unique`` sorts them
+    stably, which numpy does by radix sort for 16-bit codes or narrower.
+    ``n_symbols ** L`` must not pass ``2**63``.
     """
     length = rows.shape[1]
     if seq_count(n_symbols, length) > 2**63:
         raise ValueError(f"{n_symbols}^{length} sequences overflow int64 codes")
-    radix = n_symbols ** np.arange(length - 1, -1, -1, dtype=np.int64)
-    _, first, counts = np.unique((rows - 1) @ radix, return_index=True,
-                                 return_counts=True)
+    code_type = np.min_scalar_type(seq_count(n_symbols, length) - 1)
+    radix = (n_symbols ** np.arange(length - 1, -1, -1)).astype(code_type)
+    digits = (rows - 1).astype(code_type)
+    codes = np.zeros(len(rows), dtype=code_type)
+    for k in range(length):
+        codes += digits[:, k] * radix[k]
+    _, first, counts = np.unique(codes, return_index=True, return_counts=True)
     order = np.argsort(first)
     return list(zip(map(tuple, rows[first[order]].tolist()),
                     counts[order].tolist()))

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 
-from condseq.distributions import Hmm, TableDist, future_table, numerical_rank
+from condseq.distributions import (Hmm, TableDist, ZeroProbabilityHistory,
+                                   future_table, numerical_rank)
 from condseq.exact_learner import EQ_TOL
 from condseq.oom import PINV_CUTOFF
 from condseq.sequences import all_seqs, rows_as_seqs
@@ -129,6 +131,11 @@ def per_sample_counterexample(state, operators, oracle, n: int,
     return None
 
 
+def argmax_symbols(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The 1-based symbol of each row's first cumulative edge above its uniform."""
+    return (cum > u[:, None]).argmax(axis=1) + 1
+
+
 def full_hmm_draws(hmm: Hmm, history, rng: np.random.Generator,
                    size: int) -> list[tuple]:
     """Whole futures of ``history`` by plain step-by-step simulation.
@@ -141,8 +148,8 @@ def full_hmm_draws(hmm: Hmm, history, rng: np.random.Generator,
     for j in range(length):
         cum = np.cumsum(beliefs @ hmm.emission.T, axis=1)
         cum[:, -1] = np.maximum(cum[:, -1], 1.0)
-        symbols = (cum > rng.random(size)[:, None]).argmax(axis=1)
-        out[:, j] = symbols + 1
+        out[:, j] = argmax_symbols(cum, rng.random(size))
+        symbols = out[:, j] - 1
         w = beliefs * hmm.emission[symbols, :]
         norm = np.maximum(w.sum(axis=1, keepdims=True), 1e-300)
         beliefs = (w / norm) @ hmm.transition.T
@@ -367,3 +374,45 @@ def gated_estimate_loop(estimator, history, future, alpha: float) -> float:
     if np.all(steps > 2.0 * alpha):
         return float(np.prod(steps))
     return 0.0
+
+
+def precond_moments_loop(estimator, basis, prev_basis, entry_samples: int,
+                         regularity: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(sigma, q)`` of ``estimate_sigma_and_q``, one future at a time.
+
+    Draws one batch per distinct history (the basis, then the one-symbol
+    extensions of ``prev_basis``), counts its futures in order of first
+    appearance, screens every (future, member) pair with
+    :func:`gated_estimate_loop`, and adds ``count * ratio`` into each column
+    one future at a time, in batch order.
+    """
+    oracle = estimator.oracle
+    n_symbols = oracle.n_symbols
+    extended = [b + (o,) for b in prev_basis for o in range(1, n_symbols + 1)]
+    batches = {}
+    for x in dict.fromkeys(list(basis) + extended):
+        try:
+            draws = oracle.sample_futures(x, entry_samples)
+        except ZeroProbabilityHistory:
+            batches[x] = []
+        else:
+            batches[x] = list(Counter(map(tuple, draws.tolist())).items())
+    futures = list(dict.fromkeys(f for batch in batches.values() for f, _ in batch))
+    rel = np.array([[gated_estimate_loop(estimator, h, f, regularity) for h in basis]
+                    for f in futures]).reshape(len(futures), len(basis))
+    mix = rel.mean(axis=1, keepdims=True)
+    ratios = dict(zip(futures, np.divide(rel, mix, out=np.zeros_like(rel),
+                                         where=mix > 0.0)))
+
+    def column(x):
+        col = np.zeros(len(basis))
+        for future, count in batches[x]:
+            col += count * ratios[future]
+        return col / entry_samples
+
+    sigma = np.column_stack([column(b) for b in basis])
+    q = np.empty((len(basis), len(prev_basis), n_symbols))
+    for j, b in enumerate(prev_basis):
+        for o in range(1, n_symbols + 1):
+            q[:, j, o - 1] = column(b + (o,))
+    return 0.5 * (sigma + sigma.T), q

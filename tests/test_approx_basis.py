@@ -255,11 +255,21 @@ def test_elliptical_potential_never_beats_bound(seed):
     ({"eps": 1.5}, "eps"),
     ({"regularity": 0.0}, "regularity"),
     ({"regularity": -0.05}, "regularity"),
+    # non-integer counts spent queries before a TypeError, or ran as counts
+    ({"candidates_per_round": 2.5}, "candidates_per_round"),
+    ({"loss_samples": True}, "loss_samples"),
+    ({"step_samples": 100.0}, "step_samples"),
+    ({"rank_bound": "2"}, "rank_bound"),
+    ({"eps": float("nan")}, "eps"),
+    ({"eps": True}, "eps"),
+    ({"regularity": float("inf")}, "regularity"),
+    ({"t": 2.5}, "^t must"),
+    ({"t": True}, "^t must"),
 ])
 def test_find_approx_basis_rejects_parameters_that_cannot_work(kwargs, name):
     # each used to fail only after spending queries (eps=-0.1 ran 274k) or
     # to divide by zero
     oracle = OracleHandle(make_parity_hmm(4, alpha=0.2), mode="sampling", seed=0)
     with pytest.raises(ValueError, match=name):
-        find_approx_basis(oracle, t=2, **kwargs)
+        find_approx_basis(oracle, **{"t": 2, **kwargs})
     assert oracle.stats.total == 0

@@ -29,6 +29,7 @@ from condseq.oom import construct_exact_operators, to_distribution
 from condseq.sequences import all_seqs, rows_as_seqs, seq_to_index
 
 from _reference import (
+    argmax_symbols,
     brute_force_joint,
     conditional_from_root,
     filter_from_root,
@@ -532,6 +533,44 @@ def test_sampler_matches_row_by_row_simulation(data):
         assert got.shape == (size, steps)
         assert got.tolist() == [list(f[:steps]) for f in want]
         assert new_rng.random(4).tobytes() == after.tobytes()
+
+
+class _FixedUniforms:
+    """Generator stand-in whose ``random(n)`` cycles through fixed uniforms."""
+
+    def __init__(self, values) -> None:
+        self.values = np.asarray(values, dtype=float)
+
+    def random(self, n: int) -> np.ndarray:
+        return np.resize(self.values, n)
+
+
+@pytest.mark.parametrize("make", [
+    never_emits_two,
+    lambda: random_hmm(np.random.default_rng(7), 3, 4, 4),
+], ids=["never-emits-two", "random-O4"])
+def test_draw_kernel_matches_the_argmax_rule_on_cumulative_edges(make):
+    """Uniforms on each first-step cumulative edge, one ulp under it, and at 0
+    and the largest double under 1.  The edges are formed as the sampler forms
+    them (one belief row times the emission matrix), so each uniform sits
+    exactly on, or just under, an edge the draw compares against."""
+    hmm = make()
+    O, T = hmm.n_symbols, hmm.horizon
+    extremes = [0.0, 1.0 - 2.0**-53]
+    for t in range(T):
+        for history in all_seqs(O, t):
+            cum = np.cumsum(hmm._walk(history)[-1][0][None, :] @ hmm.emission.T, axis=1)
+            cum[:, -1] = np.maximum(cum[:, -1], 1.0)
+            edges = cum[0, :-1][cum[0, :-1] < 1.0]
+            u = np.concatenate([edges, np.nextafter(edges, 0.0), extremes])
+            got = hmm.sample_futures(history, _FixedUniforms(u), u.size, steps=1)
+            assert got[:, 0].tolist() == argmax_symbols(
+                np.repeat(cum, u.size, axis=0), u).tolist()
+            # whole futures at the extremes, against plain simulation
+            for values in ([0.0], [1.0 - 2.0**-53], extremes):
+                got = hmm.sample_futures(history, _FixedUniforms(values), 5)
+                want = full_hmm_draws(hmm, history, _FixedUniforms(values), 5)
+                assert got.tolist() == [list(f) for f in want]
 
 
 def test_sampler_keeps_one_belief_per_distinct_prefix():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from condseq.distributions import TableDist
+from condseq.distributions import Hmm, TableDist
 from condseq.estimation import CondEstimator
 from condseq.generators import make_parity_hmm
 from condseq.oracles import OracleHandle
@@ -96,6 +96,40 @@ def test_gated_block_matches_per_entry_loop_bit_for_bit(seed):
         assert oracle.stats.as_dict() == ref_oracle.stats.as_dict()
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_gated_block_of_mixed_length_histories_matches_the_loop(seed):
+    # one history string is reached from several (history, prefix) pairs:
+    # (1,) + (2,) and (1, 2) + () must share a histogram
+    hmm = make_parity_hmm(5, alpha=0.3)
+    histories = [(1,), (), (1, 2), (2, 2, 1), (1,)]
+    futures = [(2, 1), (1, 1), (2, 2)]
+    est, oracle = _estimator(hmm, samples=80, seed=seed)
+    ref, ref_oracle = _estimator(hmm, samples=80, seed=seed)
+    block = est.gated_block(histories, futures, 0.1)
+    expected = np.array([[gated_estimate_loop(ref, h, f, 0.1) for h in histories]
+                         for f in futures])
+    assert block.tobytes() == expected.tobytes()
+    assert list(est._freqs) == list(ref._freqs)
+    assert oracle.stats.as_dict() == ref_oracle.stats.as_dict()
+
+
+def test_gated_block_past_the_horizon_raises_before_any_draw():
+    est, oracle = _estimator(make_parity_hmm(4, alpha=0.3), samples=10)
+    with pytest.raises(ValueError, match="horizon"):
+        est.gated_block([(1,), (1, 2)], [(1, 1, 2)], alpha=0.0)
+    assert oracle.stats.total == 0
+
+
+def test_history_ranks_must_fit_int64():
+    def coin(horizon):
+        return Hmm(mu=[1.0], emission=[[0.5], [0.5]], transition=[[1.0]],
+                   horizon=horizon)
+
+    CondEstimator(OracleHandle(coin(63), mode="sampling"), 10)
+    with pytest.raises(ValueError, match="overflow"):
+        CondEstimator(OracleHandle(coin(64), mode="sampling"), 10)
+
+
 def test_gated_block_of_no_futures_or_no_histories_reads_nothing():
     est, oracle = _estimator(TABLE, samples=10)
     assert est.gated_block([(), (1,)], [], alpha=0.0).shape == (0, 2)
@@ -105,5 +139,6 @@ def test_gated_block_of_no_futures_or_no_histories_reads_nothing():
 
 def test_constructor_validates_sample_count():
     oracle = OracleHandle(TABLE, mode="sampling", seed=0)
-    with pytest.raises(ValueError):
-        CondEstimator(oracle, samples_per_history=0)
+    for bad in (0, 2.5, True):
+        with pytest.raises(ValueError, match="samples_per_history"):
+            CondEstimator(oracle, samples_per_history=bad)

@@ -74,6 +74,20 @@ def test_sample_joint_prefix_shapes():
         oracle.sample_joint(3, size=1)
 
 
+@pytest.mark.parametrize("size", [2.5, True, -1, "3", None])
+def test_sample_sizes_must_be_non_negative_ints(size):
+    # a fractional size used to be charged before numpy raised a TypeError
+    oracle = OracleHandle(make_parity_hmm(3, alpha=0.2), mode="sampling", seed=0)
+    with pytest.raises(ValueError, match="size"):
+        oracle.sample_futures((1,), size)
+    with pytest.raises(ValueError, match="size"):
+        oracle.sample_joint(2, size=size)
+    with pytest.raises(ValueError, match="t must"):
+        oracle.sample_joint(1.0, size=2)
+    assert oracle.stats.total == 0
+    assert oracle.sample_futures((1,), np.int64(2)).shape == (2, 2)
+
+
 def test_sample_futures_frequencies():
     oracle = OracleHandle(TABLE, mode="sampling", seed=7)
     draws = oracle.sample_futures((2,), 4000)

@@ -1,9 +1,11 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from condseq.distributions import Hmm
+from condseq.distributions import Hmm, TableDist
 from condseq.estimation import CondEstimator
 from condseq.generators import make_parity_hmm, parity_class_bases
 from condseq.metrics import sigma_matrix, tv_exact
@@ -22,20 +24,27 @@ from condseq.sampling_learner import (
 )
 from condseq.sequences import all_seqs
 
+from _reference import precond_moments_loop
+
 ONE_STATE = Hmm(mu=[1.0], emission=[[0.6], [0.4]], transition=[[1.0]],
                 horizon=3)
 
 
 def test_params_validation():
     AlgoParams()
-    with pytest.raises(ValueError):
-        AlgoParams(basis_size=0)
-    with pytest.raises(ValueError):
-        AlgoParams(eig_threshold=1.5)
-    with pytest.raises(ValueError):
-        AlgoParams(ridge=0.0)
-    with pytest.raises(ValueError):
-        AlgoParams(entry_samples=-5)
+    AlgoParams(coeff_norm=2, eig_threshold=1)  # ints are reals
+    bad = [("basis_size", 0), ("eig_threshold", 1.5), ("ridge", 0.0),
+           ("entry_samples", -5),
+           # each was accepted: a fractional count charged fractional
+           # queries, NaN ridge gave NaN operators, NaN regularity zeroed
+           # every estimate, an infinite norm overflowed in repeat_basis
+           ("entry_samples", 2.5), ("step_samples", True), ("basis_size", 3.0),
+           ("ridge", float("nan")), ("regularity", float("nan")),
+           ("coeff_norm", float("inf")), ("eig_threshold", float("nan")),
+           ("coeff_norm", True), ("ridge", "1e-4")]
+    for name, value in bad:
+        with pytest.raises(ValueError, match=name):
+            AlgoParams(**{name: value})
 
 
 def test_precond_estimates_validation():
@@ -162,6 +171,44 @@ def test_precond_sum_of_member_with_itself_is_one():
     params = AlgoParams(basis_size=1, entry_samples=5000, step_samples=5000)
     moments = estimate_sigma_and_q(est, [member], [(1,)], params)
     assert moments.sigma[0, 0] == pytest.approx(1.0, abs=0.05)
+
+
+@pytest.mark.parametrize("dist,basis,prev_basis", [
+    (make_parity_hmm(5, alpha=0.3), [(2,)], [()]),  # one member
+    (make_parity_hmm(5, alpha=0.3), [(2, 1), (1, 1), (2, 1)], [(2,), (1,), (2,)]),
+    (make_parity_hmm(5, alpha=0.3), [(1,)] * 4, [()]),
+    # (1,) has probability 0, so its batch is empty and its column zero
+    (TableDist(np.array([0.0, 0.0, 0.6, 0.4]), n_symbols=2, horizon=2),
+     [(1,), (2,)], [()]),
+])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_precond_moments_match_the_per_future_loop_bit_for_bit(dist, basis,
+                                                               prev_basis, seed):
+    params = AlgoParams(entry_samples=400, step_samples=300, regularity=0.05)
+    est = CondEstimator(OracleHandle(dist, mode="sampling", seed=seed), 300)
+    ref = CondEstimator(OracleHandle(dist, mode="sampling", seed=seed), 300)
+    moments = estimate_sigma_and_q(est, basis, prev_basis, params)
+    sigma, q = precond_moments_loop(ref, basis, prev_basis, 400, 0.05)
+    assert moments.sigma.tobytes() == sigma.tobytes()
+    assert moments.q.tobytes() == q.tobytes()
+    assert list(est._freqs)[:len(ref._freqs)] == list(ref._freqs)
+
+
+def test_spectrum_is_formatted_only_when_logged(monkeypatch, caplog):
+    oracle_args = dict(dist=make_parity_hmm(4, alpha=0.3), mode="sampling", seed=0)
+    params = AlgoParams(basis_size=4, entry_samples=300, step_samples=300)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("array2string called with INFO off")
+
+    with caplog.at_level(logging.WARNING, logger="condseq.sampling_learner"):
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "array2string", refuse)
+            learn_sampling(OracleHandle(**oracle_args), params)
+    assert "spectrum=" not in caplog.text
+    with caplog.at_level(logging.INFO, logger="condseq.sampling_learner"):
+        learn_sampling(OracleHandle(**oracle_args), params)
+    assert "spectrum=[" in caplog.text
 
 
 def test_learn_sampling_one_state_instance():

@@ -12,6 +12,7 @@ from condseq.sequences import (
     parse_seq,
     seq_count,
     seq_to_index,
+    shortlex_rank,
 )
 
 from _reference import index_to_seq
@@ -83,3 +84,37 @@ def test_distinct_rows_code_range():
     assert distinct_rows(longest, 2) == [((2,) * 63, 2)]
     with pytest.raises(ValueError):
         distinct_rows(np.ones((1, 64), dtype=np.int64), 2)
+
+
+@pytest.mark.parametrize("n_symbols,length", [
+    (2, 8), (2, 9), (4, 4), (3, 6),      # 2**8 - 1 is the widest uint8 code
+    (2, 16), (2, 17), (4, 8), (16, 4),   # 2**16
+    (2, 32), (2, 33), (4, 16), (3, 21),  # 2**32
+    (2, 62), (2, 63), (7, 22),           # up to the int64 limit
+])
+def test_distinct_rows_at_code_width_boundaries(n_symbols, length):
+    """Codes at and around each dtype boundary must neither wrap nor merge."""
+    top = seq_count(n_symbols, length) - 1
+    codes = {0, 1, top, top - 1} | {c for b in (8, 16, 32) for c in (2**b - 1, 2**b)
+                                    if c <= top}
+    rng = np.random.default_rng(length)
+    rows = [index_to_seq(c, n_symbols, length) for c in sorted(codes)]
+    rows += [rows[i] for i in rng.integers(0, len(rows), size=2 * len(rows))]
+    rows += [tuple(int(o) for o in rng.integers(1, n_symbols + 1, size=length))
+             for _ in range(5)]
+    rows = [rows[i] for i in rng.permutation(len(rows))]
+    arr = np.array(rows, dtype=np.int64)
+    assert distinct_rows(arr, n_symbols) == list(Counter(rows).items())
+
+
+def test_distinct_rows_rejects_codes_past_int64():
+    with pytest.raises(ValueError, match="overflow"):
+        distinct_rows(np.ones((2, 64), dtype=np.int64), 2)
+
+
+def test_shortlex_rank_orders_by_length_then_code():
+    seqs = [s for length in range(4) for s in all_seqs(3, length)]
+    assert [shortlex_rank(s, 3) for s in seqs] == list(range(len(seqs)))
+    assert shortlex_rank((2, 1, 3), 3) == 3 * shortlex_rank((2, 1), 3) + 3
+    with pytest.raises(ValueError):
+        shortlex_rank((1, 4), 3)
