@@ -15,11 +15,11 @@ An :class:`Hmm` and the learned-model wrappers
 (:func:`condseq.oom.to_distribution`) also offer the batched row walk
 ``row_conditionals(symbols)``: from an ``(n, L)`` int64 symbol array, the
 ``(n, L, O)`` next-symbol conditionals after every proper prefix of every
-row, one batched step per column.  An :class:`Hmm` also offers the joint
-block ``joint_block(prefixes, futures)``: from an ``(n, t)`` int64 prefix
-array and ``k`` futures, the ``(n, k)`` joint probabilities ``Pr[x·λ]``,
-each prefix's forward probability and belief times each future's backward
-vector.  Where ``conditional_prob((), x·λ)`` is exactly zero, so is the
+row, one batched step per column.  An :class:`Hmm` also offers the level
+draw ``sample_joint_block(rng, size, t, tests)``: the draw of
+``sample_futures((), rng, size, t)`` and the ``(size, k)`` joint
+probabilities ``Pr[x·λ]`` of its rows and ``k`` tests, forward times
+backward vectors.  Where ``conditional_prob((), x·λ)`` is exactly zero, so is the
 block's entry.  A :class:`TableDist` offers neither; callers test for the
 method and otherwise ask one prefix at a time.  Batched and one-row values
 agree to rounding, not bit for bit: a row of a matrix product need not round
@@ -33,9 +33,9 @@ Truncated draws consume the random stream exactly like full ones: a draw with
 seeded generator, and leaves the generator in the same state, so the next
 draw is identical too.  Stopping early only skips simulation work.
 
-An HMM's three batched walks, the sampler :meth:`Hmm.sample_futures`, the
-row walk :meth:`Hmm.row_conditionals` and the forward half of
-:meth:`Hmm.joint_block`, share one distinct-prefix step,
+An HMM's two batched walks, the draw :meth:`Hmm._draw` (under
+``sample_futures`` and ``sample_joint_block``) and the row walk
+:meth:`Hmm.row_conditionals`, share one distinct-prefix step,
 :meth:`Hmm._children`: rows that share a prefix share its belief, so each
 step filters one belief per distinct prefix, however many rows there are.
 
@@ -283,12 +283,45 @@ class Hmm:
         the last cumulative edge (probability about 1e-16 per draw); its
         belief then restarts from uniform, as in :meth:`step`.
         """
+        steps = _check_steps(self.horizon - len(history), steps)
+        return self._draw(history, rng, size, steps)[0]
+
+    def sample_joint_block(self, rng: np.random.Generator, size: int, t: int,
+                           tests: list[Seq]) -> tuple[np.ndarray, np.ndarray]:
+        """``(draws, block)``: ``sample_futures((), rng, size, t)`` and its ``Pr[x·λ]``.
+
+        Same uniforms, same final ``rng`` state.  ``block[i, j]`` is row
+        ``i``'s ``Pr[x]``, the product of the factors its draw walked through,
+        times its belief dotted with test ``j``'s backward vector
+        ``1ᵀ K_{λ_L}···K_{λ_1}`` (:func:`_kernels`): exactly zero where
+        :meth:`conditional_prob` is.  A test past the horizon or with a
+        symbol outside ``1..O`` raises ``ValueError``.
+        """
+        tests = [tuple(lam) for lam in tests]
+        if t + max(map(len, tests), default=0) > self.horizon:
+            raise ValueError("history plus future exceed horizon")
+        bad = [o for lam in tests for o in lam if not 0 < o <= self.n_symbols]
+        if bad:
+            raise ValueError(f"symbol {bad[0]} outside 1..{self.n_symbols}")
+        kernels = _kernels(self)
+        backward = np.ones((len(tests), self.n_states))
+        for j, lam in enumerate(tests):
+            for o in reversed(lam):
+                backward[j] = backward[j] @ kernels[o - 1]
+        return self._draw((), rng, size, t, backward)
+
+    def _draw(self, history: Seq, rng: np.random.Generator, size: int,
+              steps: int, backward: np.ndarray | None = None
+              ) -> tuple[np.ndarray, np.ndarray | None]:
+        """The walk of :meth:`sample_futures`, and the ``(size, k)`` block of
+        ``Pr[x·λ | history]`` for the ``(k, S)`` ``backward`` vectors, if given:
+        each row's drawn-symbol factors, times one more step's belief."""
         length = self.horizon - len(history)
-        steps = _check_steps(length, steps)
         # beliefs of the distinct prefixes; row i's prefix is node[i]
         beliefs = self._walk(history)[-1][0][None, :]
         node = np.zeros(size, dtype=np.int64)
         out = np.empty((size, steps), dtype=np.int64)
+        prob = None if backward is None else np.ones(size)
         for j in range(steps):
             probs = beliefs @ self.emission.T
             # parameters may dip below zero by _COL_ATOL, so an edge could
@@ -301,11 +334,15 @@ class Hmm:
             for k in range(self.n_symbols - 1):
                 symbols += u >= cum[:, k][node]
             out[:, j] = symbols
-            if j + 1 < steps:
+            if backward is not None:
+                prob *= probs[node, symbols - 1]
+            if j + 1 < steps or backward is not None:
                 beliefs, node = self._children(beliefs, probs, node, symbols)
         if steps < length:
             rng.random(size * (length - steps))
-        return out
+        if backward is None:
+            return out, None
+        return out, prob[:, None] * (beliefs @ backward.T)[node]
 
     # -- batched filtering -------------------------------------------------
 
@@ -337,47 +374,10 @@ class Hmm:
                                                symbols[:, t])
         return out
 
-    def joint_block(self, prefixes, futures: list[Seq]) -> np.ndarray:
-        """``(n, k)`` joint probabilities ``Pr[x_i·λ_j]``, forward times backward.
-
-        ``prefixes`` is an ``(n, t)`` int64 array whose row ``i`` is ``x_i``;
-        ``futures`` holds the ``k`` tests ``λ_j``.  The prefixes are walked
-        through the distinct-prefix tree of :meth:`row_conditionals`, which
-        gives each row's belief ``b_x`` and ``Pr[x]`` as the product of the
-        same next-symbol factors.  Each test's backward vector
-        ``β_λ = 1ᵀ K_{λ_L}···K_{λ_1}`` (:func:`_kernels`) is built once, and
-        the entry is ``Pr[x] · (b_x · β_λ)``.  Every term of a key whose
-        :meth:`conditional_prob` is exactly zero is a product with an exact
-        zero, so its entry is exactly zero too.
-        """
-        prefixes = np.asarray(prefixes, dtype=np.int64)
-        n, t = prefixes.shape
-        futures = [tuple(f) for f in futures]
-        O = self.n_symbols
-        if t + max(map(len, futures), default=0) > self.horizon:
-            raise ValueError("history plus future exceed horizon")
-        bad = [*prefixes[(prefixes < 1) | (prefixes > O)].tolist(),
-               *(o for f in futures for o in f if not 0 < o <= O)]
-        if bad:
-            raise ValueError(f"symbol {bad[0]} outside 1..{O}")
-        joint = np.ones(n)
-        # beliefs of the distinct prefixes; row i's prefix is node[i]
-        beliefs, node = self.mu[None, :], np.zeros(n, dtype=np.int64)
-        for s in range(t):
-            probs = beliefs @ self.emission.T
-            joint *= probs[node, prefixes[:, s] - 1]
-            beliefs, node = self._children(beliefs, probs, node, prefixes[:, s])
-        kernels = _kernels(self)
-        backward = np.ones((len(futures), self.n_states))
-        for j, future in enumerate(futures):
-            for o in reversed(future):
-                backward[j] = backward[j] @ kernels[o - 1]
-        return joint[:, None] * (beliefs @ backward.T)[node]
-
     def _children(self, beliefs: np.ndarray, probs: np.ndarray,
                   node: np.ndarray, symbols: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray]:
-        """One step of the distinct-prefix tree shared by both batched walks.
+        """One step of the distinct-prefix tree shared by the batched walks.
 
         ``beliefs`` is ``(N, S)``, one belief per distinct prefix, and
         ``probs = beliefs @ emission.T`` its ``(N, O)`` symbol probabilities;

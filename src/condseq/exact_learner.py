@@ -9,16 +9,14 @@ earliest point of disagreement to grow one level's history/test pair — which
 provably bumps that level's matrix rank by one.  When a sampling sweep finds no
 disagreement, the operators are packaged as a model.
 
-The sweep checks each level as one block.  The level's ``m`` distinct
-samples go through the operators as one ``(m, r)`` array, one product per
-symbol, and times the level's test matrix give the ``(m, k)`` predictions.
-One uncharged ``prefetch`` gives the ``(m, k)`` true values ``Pr[x·λ]``,
-prefix forward vectors times test backward vectors, and a value already in
-the learner's memo takes the place of the computed one.  One array comparison
-then finds the first disagreeing sample.  Charging stays per read: the
-learner reads through its memo, in draw order, every true test value of the
-samples up to and including that one, and each value it has not seen costs
-one exact query, so the queries, their order, their totals and a budget's
+The sweep checks each level as one block.  One oracle draw gives the
+level's ``m`` distinct samples and, from the same walk, their ``(m, k)``
+true values ``Pr[x·λ]``; a value already in the learner's memo takes the
+place of the computed one.  The samples go through the operators as one
+``(m, r)`` array, and one array comparison with the predictions finds the
+first disagreeing sample.  One batched read then charges, in draw order, an
+exact query for each true value up to and including that sample which the
+memo lacks, so the queries, their order, their totals and a budget's
 cut-off are those of checking every sample in turn.  Processing a
 counterexample walks it once with a running coefficient vector, the same
 chain of products as predicting each of its prefixes from the root.
@@ -33,7 +31,7 @@ import numpy as np
 
 from .distributions import numerical_rank
 from .oom import OomModel, row_walk
-from .oracles import OracleHandle
+from .oracles import OracleHandle, check_count, check_positive
 from .sequences import Seq
 
 EQ_TOL = 1e-9          # |prediction - oracle| above this is a counterexample
@@ -144,26 +142,6 @@ def solve_operators(state: LearnerState, oracle: OracleHandle) -> list[list[np.n
     return operators
 
 
-def _true_tests(state: LearnerState, oracle: OracleHandle, prefix: Seq) -> np.ndarray:
-    return np.array(
-        [state.pr(oracle, (), tuple(prefix) + tuple(lam))
-         for lam in state.tests[len(prefix)]]
-    )
-
-
-def _predict_level(state: LearnerState, oracle: OracleHandle,
-                   operators: list[list[np.ndarray]],
-                   symbols: np.ndarray) -> np.ndarray:
-    """Predicted ``Pr[x·λ]`` of each row ``x`` of ``symbols`` and level test ``λ``.
-
-    The ``(m, t)`` prefixes go through the operators together in one
-    :func:`~condseq.oom.row_walk`; row ``i`` of the result belongs to row
-    ``i`` of ``symbols``.
-    """
-    *_, g = row_walk(operators, symbols)
-    return g @ state.test_matrix(oracle, symbols.shape[1]).T
-
-
 def find_counterexample(state: LearnerState, operators: list[list[np.ndarray]],
                         oracle: OracleHandle, n: int,
                         eq_tol: float = EQ_TOL) -> tuple[Seq, int] | None:
@@ -172,28 +150,22 @@ def find_counterexample(state: LearnerState, operators: list[list[np.ndarray]],
     Draws ``n`` joint-prefix samples per length ``t = 1..T`` (in that order)
     and returns the first distinct sample, in draw order, with an ∞-norm
     disagreement above ``eq_tol`` as ``(prefix, t)``; ``None`` if every check
-    passes.  A level is checked as one block: its distinct samples are
-    predicted together, the oracle computes all their true test values in one
-    uncharged :meth:`~condseq.oracles.OracleHandle.prefetch`, and a value the
-    learner has already memoised replaces the computed one.  The learner then
-    reads, through its memo and in draw order, every true test value of the
-    samples up to and including the first disagreeing one, so the oracle
-    charges the queries of checking each sample in turn.
+    passes.  Each level is one block and one batched read (module docstring).
     """
     for t in range(1, state.horizon + 1):
-        samples = list(dict.fromkeys(oracle.sample_joint(t, size=n)))
-        symbols = np.array(samples, dtype=np.int64).reshape(len(samples), t)
-        predicted = _predict_level(state, oracle, operators, symbols)
-        true = oracle.prefetch(symbols, state.tests[t])
-        keys = [[((), x + lam) for lam in state.tests[t]] for x in samples]
-        for i, row in enumerate(keys):
-            for j, key in enumerate(row):
-                if key in state.values:
-                    true[i, j] = state.values[key]
+        tests = state.tests[t]
+        samples, true = oracle.sample_joint_block(t, n, tests)
+        # the samples go through the operators together, row i for sample i
+        *_, g = row_walk(operators, np.array(samples, dtype=np.int64).reshape(-1, t))
+        predicted = g @ state.test_matrix(oracle, t).T
+        keys = [((), x + lam) for x in samples for lam in tests]
+        seen = [i for i, key in enumerate(keys) if key in state.values]
+        true.flat[seen] = [state.values[keys[i]] for i in seen]
         bad = np.flatnonzero(np.max(np.abs(predicted - true), axis=1) > eq_tol)
-        for row in keys[:bad[0] + 1] if bad.size else keys:
-            for key in row:
-                state.pr(oracle, *key)
+        read = keys[:(bad[0] + 1) * len(tests)] if bad.size else keys
+        unseen = list(dict.fromkeys([key for key in read if key not in state.values]))
+        # a cut budget raises after the values it paid for are stored
+        state.values.update(zip(unseen, oracle.exact_joints([f for _, f in unseen])))
         if bad.size:
             return samples[bad[0]], t
     return None
@@ -216,8 +188,8 @@ def process_counterexample(state: LearnerState, operators: list[list[np.ndarray]
     g = np.ones(1)
     for j in range(1, len(x) + 1):
         g = operators[j - 1][x[j - 1] - 1] @ g
-        diff = np.abs(state.test_matrix(oracle, j) @ g
-                      - _true_tests(state, oracle, x[:j]))
+        true = state.block(oracle, [()], [x[:j] + lam for lam in state.tests[j]])
+        diff = np.abs(state.test_matrix(oracle, j) @ g - true[:, 0])
         if np.max(diff) > eq_tol:
             first_bad = (j, int(np.argmax(diff)))
             break
@@ -252,8 +224,10 @@ def process_counterexample(state: LearnerState, operators: list[list[np.ndarray]
 
 def default_sample_count(horizon: int, rank_bound: int, eps: float,
                          delta: float) -> int:
+    """``ceil(8 ln(T r / delta) / eps²)``: at least 1, however large ``eps`` is."""
     arg = max(horizon * rank_bound / delta, math.e)
-    return math.ceil(DEFAULT_N_CONSTANT * math.log(arg) / eps**2)
+    # eps**2 overflows past ~1.3e154; from 1e150 on n is 1 (numerator < 6,000)
+    return math.ceil(DEFAULT_N_CONSTANT * math.log(arg) / min(eps, 1e150)**2)
 
 
 def learn_exact(oracle: OracleHandle, eps: float = 0.05, delta: float = 0.1,
@@ -262,22 +236,20 @@ def learn_exact(oracle: OracleHandle, eps: float = 0.05, delta: float = 0.1,
     """Run the full learner loop until a sampling sweep finds no counterexample.
 
     ``n_override`` fixes the per-length sample count; otherwise it is recomputed
-    each round from the current rank estimate.  ``n_override`` must be at
-    least 1, ``eps`` positive, ``delta`` inside ``(0, 1)`` and ``eq_tol``
-    finite and positive; anything else raises ``ValueError`` before the first
-    query.  Returns the learned model (with one-step matrices attached for
-    anchored prediction) and an info dict with rounds, trace,
+    each round from the current rank estimate.  ``n_override`` must be an
+    int of at least 1, ``eps`` and ``eq_tol`` finite positive reals and
+    ``delta`` inside ``(0, 1)``; anything else raises ``ValueError`` before
+    the first query.  Returns the learned model (with one-step matrices
+    attached for anchored prediction) and an info dict with rounds, trace,
     and final sizes.  Aborts if the round count exceeds the rank-based bound
     plus slack — that signals a broken invariant, not a hard instance.
     """
-    if n_override is not None and n_override < 1:
-        raise ValueError(f"n_override must be at least 1, got {n_override}")
-    if not eps > 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if n_override is not None:
+        check_count("n_override", n_override)
+    check_positive("eps", eps)
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    if not (math.isfinite(eq_tol) and eq_tol > 0.0):
-        raise ValueError(f"eq_tol must be finite and positive, got {eq_tol}")
+    check_positive("eq_tol", eq_tol)
     state = init_state(oracle)
     T = state.horizon
     while True:

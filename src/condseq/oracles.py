@@ -11,18 +11,19 @@ future and charges one query per row, however many of the future's symbols
 the caller asks for (a truncated draw is the prefix of a full one).
 ``sample_joint`` returns joint draws as a list of tuples.
 
-Exact values are read only through ``exact_query``, one charged query each.
-``prefetch`` is simulation, not a query: it charges nothing.  It computes the
-``(m, k)`` block of joint probabilities ``Pr[x·λ]`` of ``m`` prefixes and
-``k`` tests, an HMM's as one product of forward and backward vectors
-(``Hmm.joint_block``), and returns it.  The ``exact_query`` calls that then
-read those keys, one at a time and each charged, are answered from the block
-and need no simulation of their own.  Only the latest block is held.
+Exact values are read through ``exact_query``, one charged query each, or
+``exact_joints``, which reads joint keys ``Pr[f]`` as a memo would, one
+charged query per distinct key.  ``sample_joint_block`` draws a level of
+joint prefixes, one joint query per draw, and computes uncharged, in the
+same walk for an HMM, the block of joint probabilities ``Pr[x·λ]`` of its
+distinct prefixes ``x`` and tests ``λ``.  Exact reads of those keys, each
+still charged, are answered from the latest block.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from numbers import Integral, Real
 
@@ -75,11 +76,6 @@ class OracleStats:
     def total(self) -> int:
         return self.exact_queries + self.sample_queries + self.joint_queries
 
-    def _record(self, history_len: int, k: int) -> None:
-        self.by_history_length[history_len] = (
-            self.by_history_length.get(history_len, 0) + k
-        )
-
     def as_dict(self) -> dict:
         return {
             "total": self.total,
@@ -113,7 +109,7 @@ class OracleHandle:
     budget: int | None = None
     stats: OracleStats = field(default_factory=OracleStats)
     rng: np.random.Generator = field(init=False, repr=False)
-    _prefetched: dict = field(init=False, repr=False, default_factory=dict)
+    _held: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.mode not in (EXACT, SAMPLING):
@@ -135,50 +131,82 @@ class OracleHandle:
                 f"(at {self.stats.total}, requested {k})"
             )
         setattr(self.stats, kind, getattr(self.stats, kind) + k)
-        self.stats._record(history_len, k)
+        by_length = self.stats.by_history_length
+        by_length[history_len] = by_length.get(history_len, 0) + k
 
     # -- exact mode --------------------------------------------------------
 
+    def _check_exact(self, what: str, length: int) -> None:
+        if self.mode != EXACT:
+            raise WrongOracleMode(f"{what} requires an exact-mode oracle")
+        if length > self.horizon:
+            raise ValueError("history plus future exceed horizon")
+
     def exact_query(self, history: Seq, future: Seq) -> float:
         """``Pr[future | history]`` — exact mode only; one query."""
-        if self.mode != EXACT:
-            raise WrongOracleMode("exact_query requires an exact-mode oracle")
-        if len(history) + len(future) > self.horizon:
-            raise ValueError("history plus future exceed horizon")
+        self._check_exact("exact_query", len(history) + len(future))
         self._charge(1, len(history), "exact_queries")
-        history, future = tuple(history), tuple(future)
-        if not history and future in self._prefetched:
-            return self._prefetched[future]
-        return self.dist.conditional_prob(history, future)
+        if history:
+            return self.dist.conditional_prob(tuple(history), tuple(future))
+        return self._joint(tuple(future))
 
-    def prefetch(self, prefixes, tests: list[Seq]) -> np.ndarray:
-        """``(m, k)`` joint probabilities ``Pr[x·λ]``, held for reading; no query.
+    def exact_joints(self, futures: list[Seq]) -> Iterator[float]:
+        """Yield ``Pr[f]`` for each of ``futures`` in turn — exact mode only.
 
-        ``prefixes`` holds ``m`` prefixes of one length ``t`` (an ``(m, t)``
-        int64 array, or a list of tuples), ``tests`` the ``k`` tests.  An
-        :class:`~condseq.distributions.Hmm` computes the block in one
-        ``joint_block`` product of forward and backward vectors; another
-        distribution answers ``conditional_prob((), x·λ)`` one key at a time.
-        :meth:`exact_query` then answers those keys from this batch, which
-        replaces the previous one.  A key past the horizon raises
-        ``ValueError``, as it does in :meth:`exact_query`.
+        A generator: first charges one exact query per distinct key.  If the
+        budget pays for only the first ``p``, it charges those, yields up to
+        the first other key and raises the :class:`BudgetExceeded` that
+        :meth:`exact_query` raises there.  A key past the horizon raises
+        ``ValueError`` first.
         """
-        if self.mode != EXACT:
-            raise WrongOracleMode("prefetch requires an exact-mode oracle")
-        t = len(prefixes[0]) if len(prefixes) else 0
-        symbols = np.asarray(prefixes, dtype=np.int64).reshape(len(prefixes), t)
+        futures = [tuple(f) for f in futures]
+        self._check_exact("exact_joints", max(map(len, futures), default=0))
+        distinct = list(dict.fromkeys(futures))
+        room = len(distinct) if self.budget is None else self.budget - self.stats.total
+        paid = distinct[:max(room, 0)]
+        if paid:
+            self._charge(len(paid), 0, "exact_queries")
+        cut = len(paid) < len(distinct)
+        yield from map(self._joint, futures[:futures.index(distinct[len(paid)])]
+                       if cut else futures)
+        if cut:
+            self._charge(1, 0, "exact_queries")  # raises BudgetExceeded
+
+    def sample_joint_block(self, t: int, size: int,
+                           tests: list[Seq]) -> tuple[list[Seq], np.ndarray]:
+        """Distinct length-``t`` prefixes of ``size`` joint draws, and ``Pr[x·λ]``.
+
+        Exact mode only.  Charges ``size`` joint queries, draws what
+        :meth:`sample_joint` draws and returns the distinct prefixes ``x`` in
+        order of first appearance with their uncharged ``(m, k)`` block for
+        ``tests``, held for exact reads until the next call.  An ``Hmm``
+        computes it in the walk that draws; other distributions answer
+        ``conditional_prob((), x·λ)`` key by key.  Bad ``t`` or ``size``, or
+        a key past the horizon, raises ``ValueError`` before any charge.
+        """
         tests = [tuple(lam) for lam in tests]
-        if t + max(map(len, tests), default=0) > self.horizon:
-            raise ValueError("history plus future exceed horizon")
-        rows = rows_as_seqs(symbols)
-        keys = [x + lam for x in rows for lam in tests]
-        if hasattr(self.dist, "joint_block"):
-            block = self.dist.joint_block(symbols, tests)
+        check_count("t", t, least=0)
+        check_count("size", size, least=0)
+        self._check_exact("sample_joint_block", t + max(map(len, tests), default=0))
+        self._charge(size, 0, "joint_queries")
+        if hasattr(self.dist, "sample_joint_block"):
+            draws, block = self.dist.sample_joint_block(self.rng, size, t, tests)
         else:
-            block = np.array([self.dist.conditional_prob((), key) for key in keys],
-                             dtype=float).reshape(len(rows), len(tests))
-        self._prefetched = dict(zip(keys, block.ravel().tolist()))
-        return block
+            draws, block = self.dist.sample_futures((), self.rng, size, t), None
+        rows = rows_as_seqs(draws)
+        # zipped backwards, each distinct row keeps its first index; sorted,
+        # those give the distinct rows in order of first appearance
+        first = sorted(dict(zip(rows[::-1], range(size - 1, -1, -1))).values())
+        samples = [rows[i] for i in first]
+        keys = [x + lam for x in samples for lam in tests]
+        block = (np.array([self.dist.conditional_prob((), key) for key in keys])
+                 if block is None else block[first]).reshape(len(samples), len(tests))
+        self._held = dict(zip(keys, block.ravel().tolist()))
+        return samples, block
+
+    def _joint(self, future: Seq) -> float:
+        value = self._held.get(future)
+        return self.dist.conditional_prob((), future) if value is None else value
 
     # -- sampling mode -----------------------------------------------------
 

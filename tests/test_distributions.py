@@ -659,29 +659,31 @@ def test_row_conditionals_reset_after_a_zero_probability_symbol():
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
-def test_joint_block_matches_conditional_prob(data):
+def test_sample_joint_block_matches_conditional_prob(data):
     """Forward x backward blocks against the one-row walk, exact zeros included."""
     rng = np.random.default_rng(data.draw(st.integers(0, 10_000)))
     hmm = random_hmm_with_zero_symbols(rng)
     O, T = hmm.n_symbols, hmm.horizon
     t = data.draw(st.integers(0, T))
-    word = st.integers(1, O)
-    prefixes = data.draw(st.lists(st.lists(word, min_size=t, max_size=t).map(tuple),
-                                  max_size=6))
-    tests = data.draw(st.lists(st.lists(word, max_size=T - t).map(tuple),
+    tests = data.draw(st.lists(st.lists(st.integers(1, O), max_size=T - t).map(tuple),
                                max_size=4))
-    got = hmm.joint_block(np.array(prefixes, dtype=np.int64).reshape(len(prefixes), t),
-                          tests)
+    size, seed = data.draw(st.integers(0, 12)), data.draw(st.integers(0, 100))
+    rng, same = np.random.default_rng(seed), np.random.default_rng(seed)
+    draws, got = hmm.sample_joint_block(rng, size, t, tests)
+    # the draw is sample_futures', and leaves the stream where it leaves it
+    np.testing.assert_array_equal(draws, hmm.sample_futures((), same, size, t))
+    assert rng.random() == same.random()
     want = np.array([[hmm.conditional_prob((), x + lam) for lam in tests]
-                     for x in prefixes]).reshape(len(prefixes), len(tests))
+                     for x in map(tuple, draws.tolist())]).reshape(size, len(tests))
     np.testing.assert_allclose(got, want, rtol=1e-15, atol=1e-15)
     assert np.all(got[want == 0.0] == 0.0)
 
 
-def test_joint_block_rejects_keys_it_cannot_answer():
+def test_sample_joint_block_rejects_tests_it_cannot_answer():
     hmm = make_parity_hmm(3, alpha=0.2)
+    rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="horizon"):
-        hmm.joint_block(np.ones((2, 2), dtype=np.int64), [(1,), (1, 2)])
-    for prefixes, tests in [([[1, 3]], [(1,)]), ([[1, 2]], [(0,)])]:
+        hmm.sample_joint_block(rng, 2, 2, [(1,), (1, 2)])
+    for tests in [[(1, 3)], [(0,)]]:
         with pytest.raises(ValueError, match="outside"):
-            hmm.joint_block(np.array(prefixes), tests)
+            hmm.sample_joint_block(rng, 2, 1, tests)

@@ -1,4 +1,5 @@
 import copy
+import sys
 
 import numpy as np
 import pytest
@@ -100,6 +101,12 @@ def test_default_sample_count_frozen_value():
     assert default_sample_count(6, 4, 0.05, 0.1) > 15320
 
 
+@pytest.mark.parametrize("eps", [10.0, 1e150, 1e155, 1e300, sys.float_info.max])
+def test_default_sample_count_is_one_at_huge_eps(eps):
+    # eps**2 overflowed from about 1.3e154 on
+    assert default_sample_count(6, 2, eps, 0.1) == 1
+
+
 def test_exact_learner_requires_exact_mode():
     hmm = make_parity_hmm(3, alpha=0.2)
     oracle = OracleHandle(hmm, mode="sampling", seed=0)
@@ -169,6 +176,9 @@ def test_budget_cuts_the_sweep_where_the_per_sample_sweep_is_cut():
     ({"eq_tol": float("inf")}, "eq_tol"),
     ({"eq_tol": -1.0}, "eq_tol"),
     ({"eq_tol": 0.0}, "eq_tol"),
+    ({"n_override": 200.0}, "n_override"),
+    ({"n_override": True}, "n_override"),
+    ({"eps": float("inf")}, "eps"),
 ])
 def test_learn_exact_rejects_parameters_that_cannot_work(kwargs, name):
     oracle = OracleHandle(make_parity_hmm(4, alpha=0.2), mode="exact", seed=0)
@@ -203,6 +213,34 @@ def test_learn_exact_cost_guard(monkeypatch):
     assert calls["step"] <= 1_000
     assert calls["conditional_prob"] <= 300
     # the sweep's true values are forward x backward blocks, not row walks
+    assert calls["row_conditionals"] == 0
+
+
+def test_learn_exact_benchmark_instance(monkeypatch):
+    """perfbench's exact-parity20 instance: parity T=20, n=200, oracle seed 0."""
+    calls = {"_children": 0, "row_conditionals": 0}
+
+    def count(name):
+        inner = getattr(Hmm, name)
+
+        def counted(self, *args):
+            calls[name] += 1
+            return inner(self, *args)
+
+        monkeypatch.setattr(Hmm, name, counted)
+
+    for name in calls:
+        count(name)
+    oracle, model, info = _learn(make_parity_hmm(20, alpha=0.2), n_override=200)
+    assert oracle.stats.total == 61_353
+    assert info["rounds"] == 19
+    assert oracle.stats.by_history_length == {0: 61_132, **dict.fromkeys(range(1, 19), 12),
+                                              19: 4, 20: 1}
+    assert model.basis_sizes() == [1] + [2] * 19 + [1]
+    # each level's draw filters its true values too, one distinct-prefix step
+    # per drawn symbol: 1,749 steps, where a second walk over the drawn
+    # prefixes took 3,269
+    assert calls["_children"] <= 1_800
     assert calls["row_conditionals"] == 0
 
 

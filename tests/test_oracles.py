@@ -138,59 +138,107 @@ def test_stats_as_dict_round_trip():
 
 
 @given(st.data())
-def test_prefetched_answers_match_conditional_prob(data):
+def test_level_block_answers_match_conditional_prob(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 10_000)))
     hmm = random_hmm_with_zero_symbols(rng)
     O, T = hmm.n_symbols, hmm.horizon
     t = data.draw(st.integers(0, T))
     word = st.integers(1, O)
-    prefixes = data.draw(st.lists(st.lists(word, min_size=t, max_size=t).map(tuple),
-                                  max_size=6))
     tests = data.draw(st.lists(st.lists(word, max_size=T - t).map(tuple),
                                max_size=4))
-    keys = [x + lam for x in prefixes for lam in tests]
-    want = [hmm.conditional_prob((), key) for key in keys]
-    oracle = OracleHandle(hmm, mode="exact")
-    oracle.prefetch(prefixes, tests)
-    assert oracle.stats.total == 0
+    size = data.draw(st.integers(0, 12))
+    oracle = OracleHandle(hmm, mode="exact", seed=data.draw(st.integers(0, 100)))
+    samples, block = oracle.sample_joint_block(t, size, tests)
+    assert oracle.stats.as_dict()["joint_queries"] == oracle.stats.total == size
+    assert len(set(samples)) == len(samples) and block.shape == (len(samples), len(tests))
+    keys = [x + lam for x in samples for lam in tests]
+    want = np.array([hmm.conditional_prob((), key) for key in keys])
     with mock.patch.object(Hmm, "conditional_prob",
-                           side_effect=AssertionError("not prefetched")):
+                           side_effect=AssertionError("not held")):
         got = [oracle.exact_query((), key) for key in keys]
+        read = list(oracle.exact_joints(keys))
     np.testing.assert_allclose(got, want, rtol=1e-15, atol=1e-15)
-    assert oracle.stats.exact_queries == len(keys)
+    assert np.all(np.array(got)[want == 0.0] == 0.0)
+    assert got == read == block.ravel().tolist()  # the block is the held answers
+    assert oracle.stats.exact_queries == len(keys) + len(set(keys))
 
 
-def test_prefetch_is_uncharged_and_holds_only_the_latest_batch():
+def test_level_draw_is_charged_per_draw_and_holds_only_the_latest_block():
     hmm = make_parity_hmm(5, alpha=0.3)
-    want = hmm.conditional_prob((), (2, 1))
-    oracle = OracleHandle(hmm, mode="exact")
-    first = oracle.prefetch([(1, 2)], [(1,), (2, 2)])
-    assert first.shape == (1, 2)
-    # a key longer than the horizon is refused, as exact_query refuses it
+    oracle = OracleHandle(hmm, mode="exact", seed=4)
+    # a key longer than the horizon, or a bad t or size, is refused uncharged
     with pytest.raises(ValueError, match="horizon"):
-        oracle.prefetch([(1, 2)], [(1,), (2, 2, 1, 1)])
-    block = oracle.prefetch([(2,)], [(1,)])
+        oracle.sample_joint_block(2, 10, [(1,), (2, 2, 1, 1)])
+    with pytest.raises(ValueError, match="t must"):
+        oracle.sample_joint_block(1.0, 10, [(1,)])
+    for size in [2.5, True, -1]:
+        with pytest.raises(ValueError, match="size"):
+            oracle.sample_joint_block(1, size, [(1,)])
     assert oracle.stats.total == 0
+    older, _ = oracle.sample_joint_block(2, 10, [(1,), (2, 2)])
+    samples, block = oracle.sample_joint_block(1, 10, [(1,)])
+    assert oracle.stats.as_dict()["joint_queries"] == oracle.stats.total == 20
+    x = samples[0]
+    want = hmm.conditional_prob((), x + (1,))
     with mock.patch.object(Hmm, "conditional_prob", return_value=-1.0):
-        got = oracle.exact_query((), (2, 1))
+        got = oracle.exact_query((), x + (1,))
         assert got == pytest.approx(want, rel=1e-15)
-        assert block.tolist() == [[got]]  # the block is the held answers
-        assert oracle.exact_query((), (1, 2, 1)) == -1.0  # the older batch is gone
-        # a batch holds joint probabilities: a query with a history is simulated
-        assert oracle.exact_query((2,), (2, 1)) == -1.0
-    with pytest.raises(ValueError):
-        oracle.exact_query((), (1, 2, 2, 2, 1, 1))
-    assert oracle.stats.total == 3
-    oracle.budget = 3  # a held key is charged like any other
+        assert got == block[0, 0]
+        assert oracle.exact_query((), older[0] + (1,)) == -1.0  # the older block is gone
+        # a block holds joint probabilities: a query with a history is simulated
+        assert oracle.exact_query(x, (1,)) == -1.0
+    assert oracle.stats.exact_queries == 3
+    oracle.budget = oracle.stats.total  # a held key is charged like any other
     with pytest.raises(BudgetExceeded):
-        oracle.exact_query((), (2, 1))
-    # a table has no joint_block: its block is read one conditional_prob at a time
-    table = OracleHandle(TABLE, mode="exact")
-    prefixes, tests = [(1,), (2,)], [(1,), (2,)]
-    block = table.prefetch(prefixes, tests)
+        oracle.exact_query((), x + (1,))
+    # a table has no sample_joint_block: it draws with sample_futures and
+    # reads its block one conditional_prob at a time
+    table = OracleHandle(TABLE, mode="exact", seed=0)
+    tests = [(1,), (2,)]
+    samples, block = table.sample_joint_block(1, 20, tests)
+    assert sorted(samples) == [(1,), (2,)]
     assert block.tolist() == [[TABLE.conditional_prob((), x + lam) for lam in tests]
-                              for x in prefixes]
-    assert table.exact_query((), (1, 2)) == block[0, 1]
-    assert table.stats.total == 1
+                              for x in samples]
+    assert table.exact_query((), samples[0] + (2,)) == block[0, 1]
+    assert table.stats.total == 21
     with pytest.raises(WrongOracleMode):
-        OracleHandle(TABLE, mode="sampling").prefetch([()], [()])
+        OracleHandle(TABLE, mode="sampling").sample_joint_block(1, 1, [()])
+
+
+def test_level_draw_is_the_joint_draw():
+    """Same distinct rows as sample_joint, and the stream goes on the same."""
+    for dist in [make_parity_hmm(5, alpha=0.3), TABLE]:
+        fused = OracleHandle(dist, mode="exact", seed=11)
+        plain = OracleHandle(dist, mode="exact", seed=11)
+        for t in [1, 0, dist.horizon, 2]:
+            samples, _ = fused.sample_joint_block(t, 40, [()])
+            assert samples == list(dict.fromkeys(plain.sample_joint(t, 40)))
+        assert fused.sample_joint(dist.horizon, 30) == plain.sample_joint(dist.horizon, 30)
+        assert fused.stats.as_dict() == plain.stats.as_dict()
+
+
+def test_exact_joints_read_like_a_memo_and_keep_what_a_cut_budget_paid_for():
+    hmm = make_parity_hmm(4, alpha=0.3)
+    keys = [(1,), (2, 1), (1,), (2, 2, 1), (1, 1)]
+    oracle = OracleHandle(hmm, mode="exact")
+    assert list(oracle.exact_joints(keys)) == [hmm.conditional_prob((), k) for k in keys]
+    assert oracle.stats.as_dict()["exact_queries"] == 4  # the repeat is charged once
+    assert oracle.stats.by_history_length == {0: 4}
+    for budget in range(4):  # 4 pays for every distinct key
+        memo, one_at_a_time = {}, OracleHandle(hmm, mode="exact", budget=budget)
+        batched, read = OracleHandle(hmm, mode="exact", budget=budget), []
+        with pytest.raises(BudgetExceeded) as ref:
+            for k in keys:
+                if k not in memo:
+                    memo[k] = one_at_a_time.exact_query((), k)
+        with pytest.raises(BudgetExceeded) as cut:
+            read.extend(batched.exact_joints(keys))
+        assert str(cut.value) == str(ref.value)
+        assert read == [memo[k] for k in keys[:len(read)]]
+        assert len(read) == keys.index(next(k for k in keys if k not in memo))
+        assert batched.stats.as_dict() == one_at_a_time.stats.as_dict()
+    with pytest.raises(ValueError, match="horizon"):
+        next(oracle.exact_joints([(1,), (1, 1, 1, 1, 1)]))
+    with pytest.raises(WrongOracleMode):
+        next(OracleHandle(hmm, mode="sampling").exact_joints([(1,)]))
+    assert oracle.stats.total == 4
