@@ -15,13 +15,14 @@ An :class:`Hmm` and the learned-model wrappers
 (:func:`condseq.oom.to_distribution`) also offer the batched row walk
 ``row_conditionals(symbols)``: from an ``(n, L)`` int64 symbol array, the
 ``(n, L, O)`` next-symbol conditionals after every proper prefix of every
-row, one batched step per column.  An :class:`Hmm` also offers the level
-draw ``sample_joint_block(rng, size, t, tests)``: the draw of
-``sample_futures((), rng, size, t)`` and the ``(size, k)`` joint
-probabilities ``Pr[x·λ]`` of its rows and ``k`` tests, forward times
-backward vectors.  Where ``conditional_prob((), x·λ)`` is exactly zero, so is the
-block's entry.  A :class:`TableDist` offers neither; callers test for the
-method and otherwise ask one prefix at a time.  Batched and one-row values
+row, one batched step per column.  An :class:`Hmm` also offers the sweep
+draw ``sample_joint_levels(rng, size, tests_by_level)``, a generator of the
+levels ``t = 1, 2, ...``: each is the distinct rows of what
+``sample_futures((), rng, size, t)`` would draw next, with the ``(m, k)``
+joint probabilities ``Pr[x·λ]`` of those rows and the level's ``k`` tests,
+forward times backward vectors.  Where ``conditional_prob((), x·λ)`` is
+exactly zero, so is the block's entry.  A :class:`TableDist` offers
+neither; callers test for the method and otherwise ask one prefix at a time.  Batched and one-row values
 agree to rounding, not bit for bit: a row of a matrix product need not round
 like the matching matrix-vector product.  Learned-model
 wrappers offer evaluation only: ``joint_prob``, ``conditional_prob`` and
@@ -33,11 +34,13 @@ Truncated draws consume the random stream exactly like full ones: a draw with
 seeded generator, and leaves the generator in the same state, so the next
 draw is identical too.  Stopping early only skips simulation work.
 
-An HMM's two batched walks, the draw :meth:`Hmm._draw` (under
-``sample_futures`` and ``sample_joint_block``) and the row walk
+An HMM's two batched walks, the draw :meth:`Hmm._draw_levels` (under
+``sample_futures`` and ``sample_joint_levels``) and the row walk
 :meth:`Hmm.row_conditionals`, share one distinct-prefix step,
 :meth:`Hmm._children`: rows that share a prefix share its belief, so each
 step filters one belief per distinct prefix, however many rows there are.
+The draw walks several levels' rows in one tree, so a prefix that the
+levels of a counterexample sweep share is filtered once for all of them.
 
 Conditioning on a zero-probability history has two rules.  Oracle answers
 (``conditional_prob``, ``next_symbol_probs``, ``sample_futures``,
@@ -92,6 +95,7 @@ oracle seed 0), past the 1,000 that the exact learner's cost guard allows.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,6 +114,12 @@ _TABLE_ATOL = 1e-9  # total-mass tolerance for explicit tables
 # of the largest.  Rounding leaves about 1e-16 on directions that are not there.
 _SUBSPACE_RTOL = 1e-12
 RANK_TOL = 1e-8  # relative singular-value cutoff of rank_of
+
+# Rows one group of Hmm.sample_joint_levels walks at once: a whole sweep at
+# n=200, T=20 (perfbench's exact-parity20).  A level of more rows is a group
+# of its own, so a sweep at the exact learner's default eps (n about 17,000)
+# holds one level at a time, not T levels' beliefs.
+_LEVEL_ROWS = 4000
 
 
 class EnumerationCapError(RuntimeError):
@@ -260,16 +270,17 @@ class Hmm:
                        steps: int | None = None) -> np.ndarray:
         """First ``steps`` symbols of ``size`` futures of ``history``.
 
-        Walks the tree of distinct drawn prefixes: each step computes the
-        next-symbol distribution once per distinct prefix, draws one uniform
-        per row (``rng.random(size)``) against its prefix's cumulative
+        One level of the distinct-prefix walk :meth:`_draw_levels`: each
+        step computes the next-symbol distribution once per distinct prefix,
+        draws one uniform per row against its prefix's cumulative
         distribution, and filters one belief per distinct ``(prefix, symbol)``
         child with :meth:`_children`.  A batch of ``size`` rows holds at most
         ``O**j`` distinct prefixes after ``j`` steps, so the belief arithmetic
         does not grow with ``size``.  The uniforms are the ones a row-by-row
-        simulation draws, in the same order, and the uniforms the remaining
-        ``length - steps`` steps of a full future would use are discarded, so
-        the random stream is unchanged.
+        simulation draws, in the same order, read as one
+        ``rng.random(size * length)``; those the remaining ``length - steps``
+        steps of a full future would use are read and discarded, so the
+        random stream is unchanged.
 
         A row with uniform ``u`` draws symbol ``1 + #{k < O-1 : cum[k] <= u}``,
         counted by ``O - 1`` vector compares, where ``cum`` is its prefix's
@@ -284,65 +295,142 @@ class Hmm:
         belief then restarts from uniform, as in :meth:`step`.
         """
         steps = _check_steps(self.horizon - len(history), steps)
-        return self._draw(history, rng, size, steps)[0]
+        return next(self._draw_levels(history, rng, size, [steps]))[0]
 
-    def sample_joint_block(self, rng: np.random.Generator, size: int, t: int,
-                           tests: list[Seq]) -> tuple[np.ndarray, np.ndarray]:
-        """``(draws, block)``: ``sample_futures((), rng, size, t)`` and its ``Pr[x·λ]``.
+    def sample_joint_levels(self, rng: np.random.Generator, size: int,
+                            tests_by_level: list[list[Seq]]
+                            ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Levels ``t = 1, 2, ...`` of a sweep's joint draws, with their ``Pr[x·λ]``.
 
-        Same uniforms, same final ``rng`` state.  ``block[i, j]`` is row
-        ``i``'s ``Pr[x]``, the product of the factors its draw walked through,
-        times its belief dotted with test ``j``'s backward vector
-        ``1ᵀ K_{λ_L}···K_{λ_1}`` (:func:`_kernels`): exactly zero where
-        :meth:`conditional_prob` is.  A test past the horizon or with a
-        symbol outside ``1..O`` raises ``ValueError``.
+        A generator.  Level ``t`` is what ``sample_futures((), rng, size, t)``
+        would draw next: its ``size`` rows read the next ``size * T``
+        uniforms, the ``j``-th symbol of every row the ``j``-th ``size`` of
+        them.  It yields the level's distinct rows ``x`` as an ``(m, t)``
+        array, in order of first appearance, and their ``(m, k)`` block for
+        the tests ``tests_by_level[t - 1]``: each row's ``Pr[x]``, the product
+        of the factors its draw walked through, times its belief dotted with
+        test ``λ``'s backward vector ``1ᵀ K_{λ_L}···K_{λ_1}`` (:func:`_kernels`),
+        exactly zero where :meth:`conditional_prob` is.
+
+        Consecutive levels are walked together in groups of at most
+        ``max(_LEVEL_ROWS // size, 1)``: one ``rng.random`` call reads a
+        whole group's uniforms at its first level (a group of one level reads
+        them step by step), and :meth:`_draw_levels` filters a prefix the
+        group's levels share once.  A walk closed, or
+        stopped by an exception, between levels puts ``rng`` back where the
+        levels it yielded would have left it, so the stream goes on as if
+        each level had been drawn alone.  A test past the horizon or with a
+        symbol outside ``1..O`` raises ``ValueError`` before anything is drawn.
         """
-        tests = [tuple(lam) for lam in tests]
-        if t + max(map(len, tests), default=0) > self.horizon:
+        tests_by_level = [[tuple(lam) for lam in tests] for tests in tests_by_level]
+        longest = [t + len(lam) for t, tests in enumerate(tests_by_level, 1)
+                   for lam in tests]
+        if max(longest + [len(tests_by_level)]) > self.horizon:
             raise ValueError("history plus future exceed horizon")
-        bad = [o for lam in tests for o in lam if not 0 < o <= self.n_symbols]
+        bad = [o for tests in tests_by_level for lam in tests for o in lam
+               if not 0 < o <= self.n_symbols]
         if bad:
             raise ValueError(f"symbol {bad[0]} outside 1..{self.n_symbols}")
         kernels = _kernels(self)
-        backward = np.ones((len(tests), self.n_states))
-        for j, lam in enumerate(tests):
-            for o in reversed(lam):
-                backward[j] = backward[j] @ kernels[o - 1]
-        return self._draw((), rng, size, t, backward)
+        backward = []
+        for tests in tests_by_level:
+            vectors = np.ones((len(tests), self.n_states))
+            for j, lam in enumerate(tests):
+                for o in reversed(lam):
+                    vectors[j] = vectors[j] @ kernels[o - 1]
+            backward.append(vectors)
+        return self._joint_levels(rng, size, backward)
 
-    def _draw(self, history: Seq, rng: np.random.Generator, size: int,
-              steps: int, backward: np.ndarray | None = None
-              ) -> tuple[np.ndarray, np.ndarray | None]:
-        """The walk of :meth:`sample_futures`, and the ``(size, k)`` block of
-        ``Pr[x·λ | history]`` for the ``(k, S)`` ``backward`` vectors, if given:
-        each row's drawn-symbol factors, times one more step's belief."""
+    def _joint_levels(self, rng: np.random.Generator, size: int,
+                      backward: list[np.ndarray]
+                      ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The groups of :meth:`sample_joint_levels`; a group left early puts
+        back what its one read took for the levels it did not yield."""
+        per_group = max(_LEVEL_ROWS // max(size, 1), 1)
+        for start in range(0, len(backward), per_group):
+            group = backward[start:start + per_group]
+            saved, taken = rng.bit_generator.state, 0
+            try:
+                for level in self._draw_levels((), rng, size,
+                                               range(start + 1, start + len(group) + 1),
+                                               group):
+                    taken += 1
+                    yield level
+            finally:
+                if taken < len(group):  # the group's read ran ahead of its levels
+                    rng.bit_generator.state = saved
+                    for _ in range(taken):
+                        rng.random(size * self.horizon)
+
+    def _draw_levels(self, history: Seq, rng: np.random.Generator, size: int,
+                     steps: Sequence[int], backward: list[np.ndarray] | None = None
+                     ) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
+        """The one sampling walk: levels of ``size`` futures of ``history``.
+
+        Level ``g`` draws the first ``steps[g]`` symbols of its futures
+        (``steps`` nondecreasing) from uniform block ``g`` of one
+        ``rng.random(len(steps) * size * length)`` read, taken at the first
+        ``next``; a lone level reads the same stream in pieces.  Every
+        unfinished level takes each step together, so the rows of all levels
+        share one tree of distinct prefixes and one :meth:`_children` call
+        per step.  A level is yielded as soon as it is complete, and its rows
+        leave the walk.  Without ``backward`` it yields ``(draws, None)``,
+        all ``(size, steps[g])`` rows.  With a list of ``(k, S)`` backward
+        vectors per level it yields the distinct rows in order of first
+        appearance, read off their tree nodes, and their ``(m, k)`` block of
+        ``Pr[x·λ | history]``: each row's drawn-symbol factors, times one
+        more step's belief.
+        """
         length = self.horizon - len(history)
-        # beliefs of the distinct prefixes; row i's prefix is node[i]
+        n_levels, O = len(steps), self.n_symbols
+        # A lone level reads the same stream step by step, and then its
+        # unread tail: holding its whole block beside ``out`` makes glibc
+        # trim and re-fault the heap on each call (on a 2-CPU VM, 124 page
+        # faults and about 1.8x the time per 10,000-row draw at T=5).
+        u = (rng.random(n_levels * size * length).reshape(n_levels, length, size)
+             if n_levels > 1 else None)
+        # beliefs of the distinct prefixes.  The rows of levels g.. are
+        # active: row i's prefix is node[i], its symbols out[g * size + i].
         beliefs = self._walk(history)[-1][0][None, :]
-        node = np.zeros(size, dtype=np.int64)
-        out = np.empty((size, steps), dtype=np.int64)
-        prob = None if backward is None else np.ones(size)
-        for j in range(steps):
+        node = np.zeros(n_levels * size, dtype=np.int64)
+        # the joint levels hand out only their distinct rows, so their
+        # symbols are kept in the narrowest dtype that holds O
+        out = np.empty((n_levels * size, steps[-1]),
+                       dtype=np.int64 if backward is None else np.min_scalar_type(O))
+        prob = None if backward is None else np.ones(n_levels * size)
+        g = 0
+        for j in range(steps[-1] + 1):
+            while g < n_levels and steps[g] == j:
+                if u is None:
+                    rng.random(size * (length - j))
+                draws = out[g * size:(g + 1) * size, :j]
+                if backward is None:
+                    yield draws, None
+                else:
+                    at = node[:size]
+                    first = np.sort(np.unique(at, return_index=True)[1])
+                    yield draws[first], prob[first, None] * (
+                        beliefs[at[first]] @ backward[g].T)
+                    prob = prob[size:]
+                node = node[size:]
+                g += 1
+            if g == n_levels:
+                return
             probs = beliefs @ self.emission.T
             # parameters may dip below zero by _COL_ATOL, so an edge could
             # fall; the running maximum keeps the count on the first edge above u
             cum = np.maximum.accumulate(np.cumsum(probs, axis=1), axis=1)
             # guard against rounding: force the last edge to cover u
             cum[:, -1] = np.maximum(cum[:, -1], 1.0)
-            u = rng.random(size)
-            symbols = np.ones(size, dtype=np.int64)
-            for k in range(self.n_symbols - 1):
-                symbols += u >= cum[:, k][node]
-            out[:, j] = symbols
+            uj = rng.random(size) if u is None else u[g:, j].reshape(-1)
+            symbols = np.ones(len(uj), dtype=np.int64)
+            for k in range(O - 1):
+                symbols += uj >= cum[:, k][node]
+            out[g * size:, j] = symbols
             if backward is not None:
                 prob *= probs[node, symbols - 1]
-            if j + 1 < steps or backward is not None:
+            if backward is not None or j + 1 < steps[-1]:
                 beliefs, node = self._children(beliefs, probs, node, symbols)
-        if steps < length:
-            rng.random(size * (length - steps))
-        if backward is None:
-            return out, None
-        return out, prob[:, None] * (beliefs @ backward.T)[node]
 
     # -- batched filtering -------------------------------------------------
 

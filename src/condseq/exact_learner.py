@@ -2,19 +2,26 @@
 
 The learner maintains, per prefix length ``t``, a set of representative
 histories ``B_t`` and test futures ``L_t`` whose conditional-probability matrix
-``Pr[L_t | B_t]`` stays square and invertible.  Each round solves for
-per-symbol operators consistent with those matrices, hunts for a sampled prefix
-whose predicted test probabilities disagree with the oracle, and uses the
-earliest point of disagreement to grow one level's history/test pair — which
-provably bumps that level's matrix rank by one.  When a sampling sweep finds no
-disagreement, the operators are packaged as a model.
+``Pr[L_t | B_t]`` stays square and invertible.  The first round solves for
+per-symbol operators consistent with those matrices.  Each round hunts for a
+sampled prefix whose predicted test probabilities disagree with the oracle,
+and uses the earliest point of disagreement to grow one level's history/test
+pair — which provably bumps that level's matrix rank by one.  Growing level
+``tau`` changes only the two solves that read its matrices, those of levels
+``tau - 1`` and ``tau``, so only those are solved again.  When a sampling
+sweep finds no disagreement, the operators are packaged as a model.
 
-The sweep checks each level as one block.  One oracle draw gives the
-level's ``m`` distinct samples and, from the same walk, their ``(m, k)``
-true values ``Pr[x·λ]``; a value already in the learner's memo takes the
-place of the computed one.  The samples go through the operators as one
-``(m, r)`` array, and one array comparison with the predictions finds the
-first disagreeing sample.  One batched read then charges, in draw order, an
+A sweep is one walk of the oracle's joint draws, handed out level by level
+(``OracleHandle.sample_joint_levels``).  For an HMM the draws of
+consecutive levels share one distinct-prefix tree, so a prefix they share
+is filtered once; the learner still receives, and pays for, one level at a
+time, and the draws, charges and random stream are those of drawing each
+level alone, wherever the sweep stops.  Each level comes with its ``m``
+distinct samples and, from the same walk, their ``(m, k)`` true values
+``Pr[x·λ]``; a value already in the learner's memo takes the place of the
+computed one.  The samples go through the operators as one ``(m, r)``
+array, and one array comparison with the predictions finds the first
+disagreeing sample.  One batched read then charges, in draw order, an
 exact query for each true value up to and including that sample which the
 memo lacks, so the queries, their order, their totals and a budget's
 cut-off are those of checking every sample in turn.  Processing a
@@ -25,6 +32,7 @@ chain of products as predicting each of its prefixes from the root.
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -123,23 +131,25 @@ def init_state(oracle: OracleHandle) -> LearnerState:
 
 
 def solve_operators(state: LearnerState, oracle: OracleHandle) -> list[list[np.ndarray]]:
-    """Per-(symbol, level) operators solving ``Pr[L_{t+1}|B_{t+1}] A = Pr[o L_{t+1}|B_t]``."""
-    operators: list[list[np.ndarray]] = []
-    for t in range(state.horizon):
-        lhs = state.test_matrix(oracle, t + 1)
-        per_symbol = []
-        for o in range(1, state.n_symbols + 1):
-            rhs = state.block(oracle, state.histories[t],
-                              [(o, *lam) for lam in state.tests[t + 1]])
-            sol, *_ = np.linalg.lstsq(lhs, rhs, rcond=1e-12)
-            residual = float(np.max(np.abs(lhs @ sol - rhs))) if rhs.size else 0.0
-            if residual > 1e-7:
-                raise LearnerInvariantError(
-                    f"operator solve at level {t}, symbol {o} left residual {residual:.3g}"
-                )
-            per_symbol.append(sol)
-        operators.append(per_symbol)
-    return operators
+    """Every level's operators, :func:`solve_level` for ``t = 0..T-1``."""
+    return [solve_level(state, oracle, t) for t in range(state.horizon)]
+
+
+def solve_level(state: LearnerState, oracle: OracleHandle, t: int) -> list[np.ndarray]:
+    """Per-symbol level-``t`` operators solving ``Pr[L_{t+1}|B_{t+1}] A = Pr[o L_{t+1}|B_t]``."""
+    lhs = state.test_matrix(oracle, t + 1)
+    per_symbol = []
+    for o in range(1, state.n_symbols + 1):
+        rhs = state.block(oracle, state.histories[t],
+                          [(o, *lam) for lam in state.tests[t + 1]])
+        sol, *_ = np.linalg.lstsq(lhs, rhs, rcond=1e-12)
+        residual = float(np.max(np.abs(lhs @ sol - rhs))) if rhs.size else 0.0
+        if residual > 1e-7:
+            raise LearnerInvariantError(
+                f"operator solve at level {t}, symbol {o} left residual {residual:.3g}"
+            )
+        per_symbol.append(sol)
+    return per_symbol
 
 
 def find_counterexample(state: LearnerState, operators: list[list[np.ndarray]],
@@ -150,24 +160,25 @@ def find_counterexample(state: LearnerState, operators: list[list[np.ndarray]],
     Draws ``n`` joint-prefix samples per length ``t = 1..T`` (in that order)
     and returns the first distinct sample, in draw order, with an ∞-norm
     disagreement above ``eq_tol`` as ``(prefix, t)``; ``None`` if every check
-    passes.  Each level is one block and one batched read (module docstring).
+    passes.  Each level is one block and one batched read, and the sweep
+    one walk handed out level by level (module docstring).
     """
-    for t in range(1, state.horizon + 1):
-        tests = state.tests[t]
-        samples, true = oracle.sample_joint_block(t, n, tests)
-        # the samples go through the operators together, row i for sample i
-        *_, g = row_walk(operators, np.array(samples, dtype=np.int64).reshape(-1, t))
-        predicted = g @ state.test_matrix(oracle, t).T
-        keys = [((), x + lam) for x in samples for lam in tests]
-        seen = [i for i, key in enumerate(keys) if key in state.values]
-        true.flat[seen] = [state.values[keys[i]] for i in seen]
-        bad = np.flatnonzero(np.max(np.abs(predicted - true), axis=1) > eq_tol)
-        read = keys[:(bad[0] + 1) * len(tests)] if bad.size else keys
-        unseen = list(dict.fromkeys([key for key in read if key not in state.values]))
-        # a cut budget raises after the values it paid for are stored
-        state.values.update(zip(unseen, oracle.exact_joints([f for _, f in unseen])))
-        if bad.size:
-            return samples[bad[0]], t
+    with closing(oracle.sample_joint_levels(n, state.tests[1:])) as levels:
+        for t, (samples, true) in enumerate(levels, 1):
+            tests = state.tests[t]
+            # the samples go through the operators together, row i for sample i
+            *_, g = row_walk(operators, np.array(samples, dtype=np.int64).reshape(-1, t))
+            predicted = g @ state.test_matrix(oracle, t).T
+            keys = [((), x + lam) for x in samples for lam in tests]
+            seen = [i for i, key in enumerate(keys) if key in state.values]
+            true.flat[seen] = [state.values[keys[i]] for i in seen]
+            bad = np.flatnonzero(np.max(np.abs(predicted - true), axis=1) > eq_tol)
+            read = keys[:(bad[0] + 1) * len(tests)] if bad.size else keys
+            unseen = list(dict.fromkeys([key for key in read if key not in state.values]))
+            # a cut budget raises after the values it paid for are stored
+            state.values.update(zip(unseen, oracle.exact_joints([f for _, f in unseen])))
+            if bad.size:
+                return samples[bad[0]], t
     return None
 
 
@@ -224,10 +235,18 @@ def process_counterexample(state: LearnerState, operators: list[list[np.ndarray]
 
 def default_sample_count(horizon: int, rank_bound: int, eps: float,
                          delta: float) -> int:
-    """``ceil(8 ln(T r / delta) / eps²)``: at least 1, however large ``eps`` is."""
-    arg = max(horizon * rank_bound / delta, math.e)
+    """``ceil(8 ln(T r / delta) / eps²)``: at least 1, however large ``eps`` is.
+
+    Raises ``ValueError`` naming ``eps`` unless the count is below ``2**63``.
+    ``rank_bound`` may be an int too large for a float.
+    """
+    log_arg = max(math.log(horizon * rank_bound) - math.log(delta), 1.0)
     # eps**2 overflows past ~1.3e154; from 1e150 on n is 1 (numerator < 6,000)
-    return math.ceil(DEFAULT_N_CONSTANT * math.log(arg) / min(eps, 1e150)**2)
+    scale = min(eps, 1e150)**2
+    n = DEFAULT_N_CONSTANT * log_arg / scale if scale > 0.0 else math.inf
+    if not n < 2.0**63:
+        raise ValueError(f"eps={eps!r} asks for 2**63 or more samples per level")
+    return math.ceil(n)
 
 
 def learn_exact(oracle: OracleHandle, eps: float = 0.05, delta: float = 0.1,
@@ -238,8 +257,10 @@ def learn_exact(oracle: OracleHandle, eps: float = 0.05, delta: float = 0.1,
     ``n_override`` fixes the per-length sample count; otherwise it is recomputed
     each round from the current rank estimate.  ``n_override`` must be an
     int of at least 1, ``eps`` and ``eq_tol`` finite positive reals and
-    ``delta`` inside ``(0, 1)``; anything else raises ``ValueError`` before
-    the first query.  Returns the learned model (with one-step matrices
+    ``delta`` inside ``(0, 1)``; without ``n_override``, ``eps`` must also
+    keep :func:`default_sample_count` below ``2**63`` at the largest rank a
+    level can reach.  Anything else raises ``ValueError`` before the first
+    query.  Returns the learned model (with one-step matrices
     attached for anchored prediction) and an info dict with rounds, trace,
     and final sizes.  Aborts if the round count exceeds the rank-based bound
     plus slack — that signals a broken invariant, not a hard instance.
@@ -250,10 +271,14 @@ def learn_exact(oracle: OracleHandle, eps: float = 0.05, delta: float = 0.1,
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     check_positive("eq_tol", eq_tol)
+    if n_override is None:
+        # no level's table outgrows its shorter side, O^min(t, T-t) sequences
+        default_sample_count(oracle.horizon, oracle.n_symbols ** (oracle.horizon // 2),
+                             eps, delta)
     state = init_state(oracle)
     T = state.horizon
+    operators = solve_operators(state, oracle)
     while True:
-        operators = solve_operators(state, oracle)
         r_hat = state.max_size()
         n = n_override if n_override is not None else default_sample_count(
             T, r_hat, eps, delta)
@@ -266,9 +291,11 @@ def learn_exact(oracle: OracleHandle, eps: float = 0.05, delta: float = 0.1,
                 f"round {state.rounds} exceeds the rank-based bound "
                 f"{state.max_size() * T} + {ROUND_SLACK}"
             )
-        process_counterexample(state, operators, oracle, found[0], eq_tol)
+        tau, _, _ = process_counterexample(state, operators, oracle, found[0], eq_tol)
+        # growing B_tau and L_tau changes the solves into and out of level tau
+        for t in (tau - 1, tau):
+            operators[t] = solve_level(state, oracle, t)
 
-    operators = solve_operators(state, oracle)
     model = OomModel(
         n_symbols=state.n_symbols,
         horizon=T,

@@ -13,17 +13,24 @@ the caller asks for (a truncated draw is the prefix of a full one).
 
 Exact values are read through ``exact_query``, one charged query each, or
 ``exact_joints``, which reads joint keys ``Pr[f]`` as a memo would, one
-charged query per distinct key.  ``sample_joint_block`` draws a level of
-joint prefixes, one joint query per draw, and computes uncharged, in the
-same walk for an HMM, the block of joint probabilities ``Pr[x·λ]`` of its
-distinct prefixes ``x`` and tests ``λ``.  Exact reads of those keys, each
-still charged, are answered from the latest block.
+charged query per distinct key.
+
+``sample_joint_levels`` serves a counterexample sweep: a generator that
+hands out the levels ``t = 1, 2, ...`` of joint prefixes one at a time,
+charging one joint query per draw as it hands each out.  With each level
+comes the uncharged block of joint probabilities ``Pr[x·λ]`` of its
+distinct prefixes ``x`` and tests ``λ``.  An HMM draws consecutive levels
+in one distinct-prefix walk; the random stream, the draws and the charges
+are those of one ``sample_joint`` call per level, wherever the sweep stops.
+Exact reads of the held keys, each still charged, are answered from the
+latest level's block.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator
+from contextlib import closing
 from dataclasses import dataclass, field
 from numbers import Integral, Real
 
@@ -172,37 +179,55 @@ class OracleHandle:
         if cut:
             self._charge(1, 0, "exact_queries")  # raises BudgetExceeded
 
-    def sample_joint_block(self, t: int, size: int,
-                           tests: list[Seq]) -> tuple[list[Seq], np.ndarray]:
-        """Distinct length-``t`` prefixes of ``size`` joint draws, and ``Pr[x·λ]``.
+    def sample_joint_levels(self, size: int, tests_by_level: list[list[Seq]]
+                            ) -> Iterator[tuple[list[Seq], np.ndarray]]:
+        """A sweep's levels ``t = 1, 2, ...`` of joint prefixes, with ``Pr[x·λ]``.
 
-        Exact mode only.  Charges ``size`` joint queries, draws what
-        :meth:`sample_joint` draws and returns the distinct prefixes ``x`` in
-        order of first appearance with their uncharged ``(m, k)`` block for
-        ``tests``, held for exact reads until the next call.  An ``Hmm``
-        computes it in the walk that draws; other distributions answer
-        ``conditional_prob((), x·λ)`` key by key.  Bad ``t`` or ``size``, or
-        a key past the horizon, raises ``ValueError`` before any charge.
+        Exact mode only.  A generator: before it hands out level ``t`` it
+        charges ``size`` joint queries, as :meth:`sample_joint` ``(t, size)``
+        does, and it hands out what that call would draw next: the distinct
+        prefixes ``x`` in order of first appearance, with their uncharged
+        ``(m, k)`` block for the tests ``tests_by_level[t - 1]``, held for
+        exact reads until the next level.  An ``Hmm`` walks consecutive
+        levels together (``Hmm.sample_joint_levels``) and, closed early or
+        stopped by an exception, puts ``rng`` back where the charged levels
+        leave it; other distributions draw each level with ``sample_futures``
+        when it is charged and answer ``conditional_prob((), x·λ)`` key by
+        key.  Close the generator once done with it.  A bad ``size``, or a
+        key past the horizon, raises ``ValueError`` here, before any charge.
         """
-        tests = [tuple(lam) for lam in tests]
-        check_count("t", t, least=0)
+        tests_by_level = [[tuple(lam) for lam in tests] for tests in tests_by_level]
         check_count("size", size, least=0)
-        self._check_exact("sample_joint_block", t + max(map(len, tests), default=0))
-        self._charge(size, 0, "joint_queries")
-        if hasattr(self.dist, "sample_joint_block"):
-            draws, block = self.dist.sample_joint_block(self.rng, size, t, tests)
+        self._check_exact("sample_joint_levels", max(
+            [t + len(lam) for t, tests in enumerate(tests_by_level, 1) for lam in tests]
+            + [len(tests_by_level)]))
+        if hasattr(self.dist, "sample_joint_levels"):
+            walk = self.dist.sample_joint_levels(self.rng, size, tests_by_level)
         else:
-            draws, block = self.dist.sample_futures((), self.rng, size, t), None
-        rows = rows_as_seqs(draws)
-        # zipped backwards, each distinct row keeps its first index; sorted,
-        # those give the distinct rows in order of first appearance
-        first = sorted(dict(zip(rows[::-1], range(size - 1, -1, -1))).values())
-        samples = [rows[i] for i in first]
-        keys = [x + lam for x in samples for lam in tests]
-        block = (np.array([self.dist.conditional_prob((), key) for key in keys])
-                 if block is None else block[first]).reshape(len(samples), len(tests))
-        self._held = dict(zip(keys, block.ravel().tolist()))
-        return samples, block
+            walk = self._table_levels(size, tests_by_level)
+        return self._charged_levels(size, tests_by_level, walk)
+
+    def _charged_levels(self, size: int, tests_by_level: list[list[Seq]],
+                        walk: Iterator) -> Iterator[tuple[list[Seq], np.ndarray]]:
+        """Each level of ``walk`` once it is charged; closing this closes ``walk``."""
+        with closing(walk):
+            for tests in tests_by_level:
+                self._charge(size, 0, "joint_queries")
+                draws, block = next(walk)
+                samples = rows_as_seqs(draws)
+                keys = [x + lam for x in samples for lam in tests]
+                self._held = dict(zip(keys, block.ravel().tolist()))
+                yield samples, block
+
+    def _table_levels(self, size: int, tests_by_level: list[list[Seq]]
+                      ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The levels of a distribution without its own walk, drawn one by one."""
+        for t, tests in enumerate(tests_by_level, 1):
+            draws = self.dist.sample_futures((), self.rng, size, t)
+            distinct = draws[np.sort(np.unique(draws, axis=0, return_index=True)[1])]
+            block = [[self.dist.conditional_prob((), tuple(x) + lam) for lam in tests]
+                     for x in distinct.tolist()]
+            yield distinct, np.array(block).reshape(len(distinct), len(tests))
 
     def _joint(self, future: Seq) -> float:
         value = self._held.get(future)

@@ -151,16 +151,18 @@ def estimate_one_step(estimator: CondEstimator,
     return np.vstack([estimator.next_symbol_freqs(b) for b in members])
 
 
-def top_eigenspace(sigma: np.ndarray, threshold: float) -> np.ndarray:
+def top_eigenspace(sigma: np.ndarray,
+                   threshold: float) -> tuple[np.ndarray, np.ndarray]:
     """Orthogonal projection onto eigenvectors with eigenvalue > threshold/2.
 
     The input is symmetrized before the decomposition; when no eigenvalue
-    clears the cut the zero projection is returned.
+    clears the cut the zero projection is returned.  Also returns the
+    eigenvalues the cut was made on, largest first.
     """
     sym = 0.5 * (sigma + sigma.T)
     eigvals, eigvecs = np.linalg.eigh(sym)
     vecs = eigvecs[:, eigvals > 0.5 * threshold]
-    return vecs @ vecs.T
+    return vecs @ vecs.T, eigvals[::-1]
 
 
 def ridge_coefficients(sigma: np.ndarray, q: np.ndarray,
@@ -234,9 +236,8 @@ def learn_sampling(oracle: OracleHandle,
         est = estimate_sigma_and_q(estimator, basis, bases[t - 1], params)
         phase_start = _log_phase(oracle, t, "moments", phase_start)
 
-        eigvals = np.linalg.eigvalsh(est.sigma)[::-1]
-        proj = top_eigenspace(est.sigma, params.eig_threshold)
-        kept = int(round(np.trace(proj)))
+        proj, eigvals = top_eigenspace(est.sigma, params.eig_threshold)
+        kept = int(np.count_nonzero(eigvals > 0.5 * params.eig_threshold))
         spectrum = (np.array2string(eigvals, precision=4)
                     if log.isEnabledFor(logging.INFO) else "")
         phase_start = _log_phase(oracle, t, "eigenspace", phase_start,

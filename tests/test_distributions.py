@@ -1,11 +1,13 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from condseq import distributions
 from condseq.distributions import (
     EnumerationCapError,
     Hmm,
@@ -26,6 +28,7 @@ from condseq.generators import (
 )
 from condseq.metrics import tv_exact
 from condseq.oom import construct_exact_operators, to_distribution
+from condseq.oracles import BudgetExceeded, OracleHandle
 from condseq.sequences import all_seqs, rows_as_seqs, seq_to_index
 
 from _reference import (
@@ -659,31 +662,82 @@ def test_row_conditionals_reset_after_a_zero_probability_symbol():
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
-def test_sample_joint_block_matches_conditional_prob(data):
-    """Forward x backward blocks against the one-row walk, exact zeros included."""
+def test_sample_joint_levels_match_per_level_draws(data):
+    """The first k of L levels against a draw of each level alone: same rows,
+    forward x backward blocks against the one-row walk with exact zeros, and
+    the same stream after an early close, after exhaustion and after a
+    budget cut, in groups of one level, of some and of all."""
     rng = np.random.default_rng(data.draw(st.integers(0, 10_000)))
     hmm = random_hmm_with_zero_symbols(rng)
     O, T = hmm.n_symbols, hmm.horizon
-    t = data.draw(st.integers(0, T))
-    tests = data.draw(st.lists(st.lists(st.integers(1, O), max_size=T - t).map(tuple),
-                               max_size=4))
+    n_levels = data.draw(st.integers(1, T))
+    tests_by_level = [data.draw(st.lists(st.lists(st.integers(1, O), max_size=T - t)
+                                         .map(tuple), max_size=3))
+                      for t in range(1, n_levels + 1)]
     size, seed = data.draw(st.integers(0, 12)), data.draw(st.integers(0, 100))
-    rng, same = np.random.default_rng(seed), np.random.default_rng(seed)
-    draws, got = hmm.sample_joint_block(rng, size, t, tests)
-    # the draw is sample_futures', and leaves the stream where it leaves it
-    np.testing.assert_array_equal(draws, hmm.sample_futures((), same, size, t))
-    assert rng.random() == same.random()
-    want = np.array([[hmm.conditional_prob((), x + lam) for lam in tests]
-                     for x in map(tuple, draws.tolist())]).reshape(size, len(tests))
-    np.testing.assert_allclose(got, want, rtol=1e-15, atol=1e-15)
-    assert np.all(got[want == 0.0] == 0.0)
+    cap = data.draw(st.sampled_from([1, 7, distributions._LEVEL_ROWS]))
+    end = data.draw(st.sampled_from(["close", "exhaust", "budget"]))
+    k = n_levels if end == "exhaust" else data.draw(st.integers(0, n_levels - 1))
+    ref = np.random.default_rng(seed)
+    oracle = OracleHandle(hmm, mode="exact", seed=seed,
+                          budget=size * k if end == "budget" else None)
+    with mock.patch.object(distributions, "_LEVEL_ROWS", cap):
+        walk = hmm.sample_joint_levels(oracle.rng, size, tests_by_level)
+        if end == "budget":
+            walk = oracle.sample_joint_levels(size, tests_by_level)
+        for t, tests in enumerate(tests_by_level[:k], 1):
+            draws, got = next(walk)
+            want_draws = list(dict.fromkeys(rows_as_seqs(
+                hmm.sample_futures((), ref, size, t))))
+            assert rows_as_seqs(np.asarray(draws).reshape(-1, t)) == want_draws
+            want = np.array([[hmm.conditional_prob((), x + lam) for lam in tests]
+                             for x in want_draws]).reshape(got.shape)
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=1e-15)
+            assert np.all(got[want == 0.0] == 0.0)
+        if end == "exhaust":
+            with pytest.raises(StopIteration):
+                next(walk)
+        elif end == "close":
+            walk.close()
+        elif size:
+            with pytest.raises(BudgetExceeded):
+                next(walk)
+        else:  # nothing to charge: the cut never comes
+            walk.close()
+    assert oracle.rng.random() == ref.random()
 
 
-def test_sample_joint_block_rejects_tests_it_cannot_answer():
+@pytest.mark.parametrize("size", [200, 1_500, 5_000])
+def test_sample_joint_levels_hold_at_most_a_group_of_rows(monkeypatch, size):
+    """A group walks ``max(_LEVEL_ROWS, size)`` rows at most, one
+    ``_children`` step per symbol of its longest level."""
+    widths = []
+    inner = Hmm._children
+
+    def spy(self, beliefs, probs, node, symbols):
+        widths.append(len(node))
+        return inner(self, beliefs, probs, node, symbols)
+
+    monkeypatch.setattr(Hmm, "_children", spy)
+    T = 8
+    hmm = make_parity_hmm(T, alpha=0.2)
+    levels = list(hmm.sample_joint_levels(np.random.default_rng(0), size,
+                                          [[(1,)]] * (T - 1) + [[()]]))
+    assert len(levels) == T
+    assert max(widths) <= max(distributions._LEVEL_ROWS, size)
+    per_group = max(distributions._LEVEL_ROWS // size, 1)
+    assert len(widths) == sum(min(start + per_group, T)
+                              for start in range(0, T, per_group))
+
+
+def test_sample_joint_levels_reject_tests_they_cannot_answer():
     hmm = make_parity_hmm(3, alpha=0.2)
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="horizon"):
-        hmm.sample_joint_block(rng, 2, 2, [(1,), (1, 2)])
+        hmm.sample_joint_levels(rng, 2, [[], [(1,), (1, 2)]])
+    with pytest.raises(ValueError, match="horizon"):
+        hmm.sample_joint_levels(rng, 2, [[]] * 4)
     for tests in [[(1, 3)], [(0,)]]:
         with pytest.raises(ValueError, match="outside"):
-            hmm.sample_joint_block(rng, 2, 1, tests)
+            hmm.sample_joint_levels(rng, 2, [tests])
+    assert rng.random() == np.random.default_rng(0).random()  # nothing drawn

@@ -144,7 +144,8 @@ def test_batched_sweep_matches_the_per_sample_sweep():
 
 
 def test_budget_cuts_the_sweep_where_the_per_sample_sweep_is_cut():
-    """An uncharged prefetch leaves the budget's cut-off where it was."""
+    """Uncharged true values, drawn with the samples, leave the budget's
+    cut-off where it was."""
     T = 8
     oracle = OracleHandle(make_parity_hmm(T, alpha=0.2), mode="exact", seed=3)
     state = init_state(oracle)
@@ -179,6 +180,11 @@ def test_budget_cuts_the_sweep_where_the_per_sample_sweep_is_cut():
     ({"n_override": 200.0}, "n_override"),
     ({"n_override": True}, "n_override"),
     ({"eps": float("inf")}, "eps"),
+    # eps**2 underflows to 0, to a subnormal whose quotient overflows, and to
+    # 1e-300, whose count has 305 digits
+    ({"eps": 1e-200}, "eps"),
+    ({"eps": 1e-160}, "eps"),
+    ({"eps": 1e-150}, "eps"),
 ])
 def test_learn_exact_rejects_parameters_that_cannot_work(kwargs, name):
     oracle = OracleHandle(make_parity_hmm(4, alpha=0.2), mode="exact", seed=0)
@@ -237,10 +243,10 @@ def test_learn_exact_benchmark_instance(monkeypatch):
     assert oracle.stats.by_history_length == {0: 61_132, **dict.fromkeys(range(1, 19), 12),
                                               19: 4, 20: 1}
     assert model.basis_sizes() == [1] + [2] * 19 + [1]
-    # each level's draw filters its true values too, one distinct-prefix step
-    # per drawn symbol: 1,749 steps, where a second walk over the drawn
-    # prefixes took 3,269
-    assert calls["_children"] <= 1_800
+    # a sweep's levels share one distinct-prefix walk, one step per symbol
+    # of the deepest level it reaches: 229 steps, where one walk per level
+    # took 1,749
+    assert calls["_children"] <= 250
     assert calls["row_conditionals"] == 0
 
 

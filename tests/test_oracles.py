@@ -1,3 +1,4 @@
+from contextlib import closing
 from unittest import mock
 
 import numpy as np
@@ -142,14 +143,15 @@ def test_level_block_answers_match_conditional_prob(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 10_000)))
     hmm = random_hmm_with_zero_symbols(rng)
     O, T = hmm.n_symbols, hmm.horizon
-    t = data.draw(st.integers(0, T))
+    t = data.draw(st.integers(1, T))
     word = st.integers(1, O)
     tests = data.draw(st.lists(st.lists(word, max_size=T - t).map(tuple),
                                max_size=4))
     size = data.draw(st.integers(0, 12))
     oracle = OracleHandle(hmm, mode="exact", seed=data.draw(st.integers(0, 100)))
-    samples, block = oracle.sample_joint_block(t, size, tests)
-    assert oracle.stats.as_dict()["joint_queries"] == oracle.stats.total == size
+    with closing(oracle.sample_joint_levels(size, [[]] * (t - 1) + [tests])) as levels:
+        *_, (samples, block) = levels
+    assert oracle.stats.as_dict()["joint_queries"] == oracle.stats.total == size * t
     assert len(set(samples)) == len(samples) and block.shape == (len(samples), len(tests))
     keys = [x + lam for x in samples for lam in tests]
     want = np.array([hmm.conditional_prob((), key) for key in keys])
@@ -166,17 +168,22 @@ def test_level_block_answers_match_conditional_prob(data):
 def test_level_draw_is_charged_per_draw_and_holds_only_the_latest_block():
     hmm = make_parity_hmm(5, alpha=0.3)
     oracle = OracleHandle(hmm, mode="exact", seed=4)
-    # a key longer than the horizon, or a bad t or size, is refused uncharged
+    # a key longer than the horizon, a level past it or a bad size is
+    # refused uncharged, before the generator starts
     with pytest.raises(ValueError, match="horizon"):
-        oracle.sample_joint_block(2, 10, [(1,), (2, 2, 1, 1)])
-    with pytest.raises(ValueError, match="t must"):
-        oracle.sample_joint_block(1.0, 10, [(1,)])
+        oracle.sample_joint_levels(10, [[], [(1,), (2, 2, 1, 1)]])
+    with pytest.raises(ValueError, match="horizon"):
+        oracle.sample_joint_levels(10, [[()]] * 6)
     for size in [2.5, True, -1]:
         with pytest.raises(ValueError, match="size"):
-            oracle.sample_joint_block(1, size, [(1,)])
+            oracle.sample_joint_levels(size, [[(1,)]])
     assert oracle.stats.total == 0
-    older, _ = oracle.sample_joint_block(2, 10, [(1,), (2, 2)])
-    samples, block = oracle.sample_joint_block(1, 10, [(1,)])
+    levels = oracle.sample_joint_levels(10, [[(1,), (2, 2)], [(1,)]])
+    assert oracle.stats.total == 0  # nothing is charged before a level is taken
+    older, _ = next(levels)
+    assert oracle.stats.as_dict()["joint_queries"] == oracle.stats.total == 10
+    samples, block = next(levels)
+    levels.close()
     assert oracle.stats.as_dict()["joint_queries"] == oracle.stats.total == 20
     x = samples[0]
     want = hmm.conditional_prob((), x + (1,))
@@ -191,28 +198,31 @@ def test_level_draw_is_charged_per_draw_and_holds_only_the_latest_block():
     oracle.budget = oracle.stats.total  # a held key is charged like any other
     with pytest.raises(BudgetExceeded):
         oracle.exact_query((), x + (1,))
-    # a table has no sample_joint_block: it draws with sample_futures and
+    # a table has no sample_joint_levels: it draws with sample_futures and
     # reads its block one conditional_prob at a time
     table = OracleHandle(TABLE, mode="exact", seed=0)
     tests = [(1,), (2,)]
-    samples, block = table.sample_joint_block(1, 20, tests)
+    with closing(table.sample_joint_levels(20, [tests])) as levels:
+        samples, block = next(levels)
     assert sorted(samples) == [(1,), (2,)]
     assert block.tolist() == [[TABLE.conditional_prob((), x + lam) for lam in tests]
                               for x in samples]
     assert table.exact_query((), samples[0] + (2,)) == block[0, 1]
     assert table.stats.total == 21
     with pytest.raises(WrongOracleMode):
-        OracleHandle(TABLE, mode="sampling").sample_joint_block(1, 1, [()])
+        OracleHandle(TABLE, mode="sampling").sample_joint_levels(1, [[()]])
 
 
 def test_level_draw_is_the_joint_draw():
-    """Same distinct rows as sample_joint, and the stream goes on the same."""
+    """Same distinct rows as sample_joint, and, however many levels are
+    taken before the walk is closed, the stream goes on the same."""
     for dist in [make_parity_hmm(5, alpha=0.3), TABLE]:
         fused = OracleHandle(dist, mode="exact", seed=11)
         plain = OracleHandle(dist, mode="exact", seed=11)
-        for t in [1, 0, dist.horizon, 2]:
-            samples, _ = fused.sample_joint_block(t, 40, [()])
-            assert samples == list(dict.fromkeys(plain.sample_joint(t, 40)))
+        for taken in [1, dist.horizon, 2]:
+            with closing(fused.sample_joint_levels(40, [[()]] * dist.horizon)) as levels:
+                for t, (samples, _) in zip(range(1, taken + 1), levels):
+                    assert samples == list(dict.fromkeys(plain.sample_joint(t, 40)))
         assert fused.sample_joint(dist.horizon, 30) == plain.sample_joint(dist.horizon, 30)
         assert fused.stats.as_dict() == plain.stats.as_dict()
 

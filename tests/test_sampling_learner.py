@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from condseq import sampling_learner
 from condseq.distributions import Hmm, TableDist
 from condseq.estimation import CondEstimator
 from condseq.generators import make_parity_hmm, parity_class_bases
@@ -87,9 +88,10 @@ def test_repeat_basis_copy_counts():
 
 
 def test_top_eigenspace_hand_case():
-    proj = top_eigenspace(np.diag([3.0, 0.01]), threshold=0.05)
+    proj, eigvals = top_eigenspace(np.diag([3.0, 0.01]), threshold=0.05)
     np.testing.assert_allclose(proj, [[1.0, 0.0], [0.0, 0.0]], atol=1e-12)
-    all_small = top_eigenspace(np.diag([0.01, 0.02]), threshold=0.1)
+    assert eigvals.tolist() == [3.0, 0.01]  # largest first
+    all_small, _ = top_eigenspace(np.diag([0.01, 0.02]), threshold=0.1)
     np.testing.assert_array_equal(all_small, np.zeros((2, 2)))
 
 
@@ -98,7 +100,7 @@ def test_top_eigenspace_is_projection(seed):
     rng = np.random.default_rng(seed)
     raw = rng.normal(size=(4, 4))
     sigma = raw + raw.T
-    proj = top_eigenspace(sigma, threshold=0.5)
+    proj, _ = top_eigenspace(sigma, threshold=0.5)
     np.testing.assert_allclose(proj @ proj, proj, atol=1e-12)
     np.testing.assert_allclose(proj, proj.T, atol=1e-12)
     eigs = np.linalg.eigvalsh(proj)
@@ -226,6 +228,29 @@ def test_learn_sampling_one_state_instance():
         assert level["kept_dim"] == 1
     assert {"level", "queries", "seconds"} <= set(report["levels"][-1])
     assert report["queries"]["total"] == oracle.stats.total
+
+
+def test_reported_eigenvalues_are_the_cut_ones(monkeypatch):
+    """Each level reports the spectrum its projection was cut from, and
+    keeps as many directions as that spectrum has above the cut."""
+    cuts = []
+
+    def spy(sigma, threshold):
+        proj, eigvals = top_eigenspace(sigma, threshold)
+        cuts.append((proj, eigvals))
+        return proj, eigvals
+
+    monkeypatch.setattr(sampling_learner, "top_eigenspace", spy)
+    params = AlgoParams(basis_size=8, entry_samples=2000, step_samples=2000)
+    oracle = OracleHandle(make_parity_hmm(4, alpha=0.3), mode="sampling", seed=0)
+    _, report = learn_sampling(oracle, params)
+    interior = report["levels"][:-1]
+    assert len(interior) == len(cuts) == 3
+    for level, (proj, eigvals) in zip(interior, cuts):
+        assert level["eigenvalues"] == eigvals.tolist()
+        assert level["kept_dim"] == round(np.trace(proj))
+        assert level["kept_dim"] == sum(v > 0.5 * params.eig_threshold
+                                        for v in level["eigenvalues"])
 
 
 def test_learn_sampling_parity_end_to_end():
