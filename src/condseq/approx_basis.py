@@ -17,10 +17,9 @@ import time
 import numpy as np
 
 from .estimation import CondEstimator
-from .oracles import (SAMPLING, OracleHandle, WrongOracleMode, check_count,
-                      check_positive)
+from .oracles import SAMPLING, OracleHandle, WrongOracleMode
 from .sampling_learner import repeat_basis
-from .sequences import Seq, distinct_rows
+from .sequences import Seq, check_count, check_positive, distinct_rows
 
 log = logging.getLogger(__name__)
 

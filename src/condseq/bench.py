@@ -28,7 +28,7 @@ from .metrics import expected_span_residual, tv_conditional_bound, tv_exact
 from .oom import OomModel, save_model, to_distribution
 from .oracles import BudgetExceeded, OracleHandle
 from .sampling_learner import AlgoParams, learn_sampling
-from .sequences import seq_count
+from .sequences import check_count, seq_count
 
 SCHEMA_VERSION = 1
 EVAL_KEYS = frozenset({"tv", "tv_samples", "tv_threshold", "residual_threshold",
@@ -156,8 +156,7 @@ class ExperimentConfig:
             value = getattr(self, key)
             if not isinstance(value, dict):
                 raise ValueError(f"{key} must be a mapping, got {value!r}")
-        if not (_is(self.seed, Integral) and self.seed >= 0):
-            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+        check_count("seed", self.seed, 0)
         if self.seeds is not None:
             if not isinstance(self.seeds, list):
                 raise ValueError(f"seeds must be a list, got {self.seeds!r}")
@@ -199,10 +198,7 @@ def _check_eval_values(eval_cfg: dict) -> None:
         if key in eval_cfg and not _is(eval_cfg[key], Real):
             raise ValueError(f"eval.{key} must be a real number, "
                              f"got {eval_cfg[key]!r}")
-    samples = eval_cfg.get("tv_samples", 1)
-    if not (_is(samples, Integral) and samples >= 1):
-        raise ValueError(f"eval.tv_samples must be an integer >= 1, "
-                         f"got {samples!r}")
+    check_count("eval.tv_samples", eval_cfg.get("tv_samples", 1))
     frac = eval_cfg.get("min_pass_fraction", 1.0)
     if not (_is(frac, Real) and 0.0 <= frac <= 1.0):
         raise ValueError(f"eval.min_pass_fraction must lie in [0, 1], "

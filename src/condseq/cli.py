@@ -15,13 +15,14 @@ import logging
 import sys
 
 from .bench import (CONFIG_KEYS, EVAL_KEYS, ExperimentConfig, build_instance,
-                    read_config, run_experiment, _evaluate)
+                    read_config, run_experiment, _check_eval_values, _evaluate)
 from .distributions import load_hmm, rank_of, save_hmm
 from .generators import (greedy_spanning_bases, one_step_bases,
                          parity_class_bases)
 from .metrics import (fidelity_for_bases, robust_sigma_per_level,
                       search_fidelity_bases)
 from .oom import load_model, to_distribution
+from .sequences import check_count
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -201,10 +202,13 @@ def _cmd_learn(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    eval_cfg = {"tv_samples": args.tv_samples}
+    _check_eval_values(eval_cfg)  # a config's checks, before any file is read
+    check_count("seed", args.seed, 0)
     out: dict = {}
     _evaluate(load_hmm(args.instance),
               to_distribution(load_model(args.model), flavor=args.flavor),
-              {"tv_samples": args.tv_samples}, args.seed, out)
+              eval_cfg, args.seed, out)
     print(f"tv_{out['tv_kind']} {out['tv']:.6g}")
     if args.tv_threshold is not None:
         return 0 if out["tv"] <= args.tv_threshold else 1

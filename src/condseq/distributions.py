@@ -83,13 +83,7 @@ arrays: an in-place edit raises instead of leaving a stale belief behind.
 
 The one-row ``step`` and its memo ``_last`` stay beside the distinct-prefix
 tree because one-row queries are what the exact learner asks, and the tree is
-slower at one row.  Measured on a 2-CPU VM (Python 3.11, numpy 2.4, one BLAS
-thread): ``_children`` costs about 40 µs per step at one row against about
-8.5 µs for ``step``; answering one-row queries through the tree ran
-perfbench's ``exact-parity20`` in 1.16–1.18 s against 0.88–0.96 s, and
-``sampling-parity5`` about 13% slower.  Without ``_last``, walking every
-query from the root makes 1,157 ``step`` calls learning parity T=12 (n=200,
-oracle seed 0), past the 1,000 that the exact learner's cost guard allows.
+slower at one row; without ``_last`` every query would walk from the root.
 """
 
 from __future__ import annotations
@@ -100,7 +94,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sequences import Seq, all_seqs, seq_count, seq_to_index
+from .sequences import Seq, all_seqs, check_count, seq_count, seq_to_index
 
 # Guard for every exhaustive enumeration over O^T sequences.
 ENUM_CAP = 2**20
@@ -173,8 +167,7 @@ class Hmm:
             raise ValueError("emission must be O x S")
         if self.transition.shape != (S, S):
             raise ValueError("transition must be S x S")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
+        check_count("horizon", self.horizon)
         for name, arr in (("mu", self.mu), ("emission", self.emission),
                           ("transition", self.transition)):
             if not np.all(np.isfinite(arr)):
@@ -385,8 +378,7 @@ class Hmm:
         n_levels, O = len(steps), self.n_symbols
         # A lone level reads the same stream step by step, and then its
         # unread tail: holding its whole block beside ``out`` makes glibc
-        # trim and re-fault the heap on each call (on a 2-CPU VM, 124 page
-        # faults and about 1.8x the time per 10,000-row draw at T=5).
+        # trim and re-fault the heap on each call.
         u = (rng.random(n_levels * size * length).reshape(n_levels, length, size)
              if n_levels > 1 else None)
         # beliefs of the distinct prefixes.  The rows of levels g.. are

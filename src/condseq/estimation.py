@@ -18,8 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from .distributions import ZeroProbabilityHistory
-from .oracles import OracleHandle, check_count
-from .sequences import Seq, seq_count, shortlex_rank
+from .oracles import OracleHandle
+from .sequences import Seq, check_count, seq_count, shortlex_rank
 
 
 class CondEstimator:

@@ -24,9 +24,10 @@ array, and one array comparison with the predictions finds the first
 disagreeing sample.  One batched read then charges, in draw order, an
 exact query for each true value up to and including that sample which the
 memo lacks, so the queries, their order, their totals and a budget's
-cut-off are those of checking every sample in turn.  Processing a
-counterexample walks it once with a running coefficient vector, the same
-chain of products as predicting each of its prefixes from the root.
+cut-off are those of checking every sample in turn.  The sweep's verdict,
+with the coefficient rows of the sample's prefixes that the level's walk
+computed, is final: processing it checks only the earlier levels along the
+sample, and otherwise grows from the verdict's level and test.
 """
 
 from __future__ import annotations
@@ -39,13 +40,16 @@ import numpy as np
 
 from .distributions import numerical_rank
 from .oom import OomModel, row_walk
-from .oracles import OracleHandle, check_count, check_positive
-from .sequences import Seq
+from .oracles import OracleHandle
+from .sequences import Seq, check_count, check_positive
 
 EQ_TOL = 1e-9          # |prediction - oracle| above this is a counterexample
 RANK_TOL = 1e-9        # relative singular-value cutoff of the rank checks
 DEFAULT_N_CONSTANT = 8  # sample-count constant: n = ceil(8 ln(T r / delta) / eps^2)
 ROUND_SLACK = 5
+
+# find_counterexample's (x, t, row, coeffs): see its docstring
+Verdict = tuple[Seq, int, int, list[np.ndarray]]
 
 
 class LearnerInvariantError(RuntimeError):
@@ -153,60 +157,58 @@ def solve_level(state: LearnerState, oracle: OracleHandle, t: int) -> list[np.nd
 
 
 def find_counterexample(state: LearnerState, operators: list[list[np.ndarray]],
-                        oracle: OracleHandle, n: int,
-                        eq_tol: float = EQ_TOL) -> tuple[Seq, int] | None:
+                        oracle: OracleHandle, n: int) -> Verdict | None:
     """First sampled prefix whose predicted test probabilities are off.
 
     Draws ``n`` joint-prefix samples per length ``t = 1..T`` (in that order)
-    and returns the first distinct sample, in draw order, with an ∞-norm
-    disagreement above ``eq_tol`` as ``(prefix, t)``; ``None`` if every check
-    passes.  Each level is one block and one batched read, and the sweep
-    one walk handed out level by level (module docstring).
+    and returns the first distinct sample ``x``, in draw order, with an
+    ∞-norm disagreement above ``EQ_TOL`` as ``(x, t, row, coeffs)``: ``row``
+    is its largest gap's test and ``coeffs[j]`` the coefficient row of
+    ``x[:j]``, ``j = 0..t``; ``None`` if every check passes (module docstring).
     """
     with closing(oracle.sample_joint_levels(n, state.tests[1:])) as levels:
         for t, (samples, true) in enumerate(levels, 1):
             tests = state.tests[t]
             # the samples go through the operators together, row i for sample i
-            *_, g = row_walk(operators, np.array(samples, dtype=np.int64).reshape(-1, t))
-            predicted = g @ state.test_matrix(oracle, t).T
+            coeffs = list(row_walk(operators, np.array(samples, dtype=np.int64).reshape(-1, t)))
+            predicted = coeffs[-1] @ state.test_matrix(oracle, t).T
             keys = [((), x + lam) for x in samples for lam in tests]
             seen = [i for i, key in enumerate(keys) if key in state.values]
             true.flat[seen] = [state.values[keys[i]] for i in seen]
-            bad = np.flatnonzero(np.max(np.abs(predicted - true), axis=1) > eq_tol)
+            gap = np.abs(predicted - true)
+            bad = np.flatnonzero(np.max(gap, axis=1) > EQ_TOL)
             read = keys[:(bad[0] + 1) * len(tests)] if bad.size else keys
             unseen = list(dict.fromkeys([key for key in read if key not in state.values]))
             # a cut budget raises after the values it paid for are stored
             state.values.update(zip(unseen, oracle.exact_joints([f for _, f in unseen])))
             if bad.size:
-                return samples[bad[0]], t
+                i = bad[0]
+                return samples[i], t, int(np.argmax(gap[i])), [g[i] for g in coeffs]
     return None
 
 
-def process_counterexample(state: LearnerState, operators: list[list[np.ndarray]],
-                           oracle: OracleHandle, x: Seq,
-                           eq_tol: float = EQ_TOL) -> tuple[int, Seq, Seq]:
-    """Grow one level's history/test pair from a counterexample prefix.
+def process_counterexample(state: LearnerState, oracle: OracleHandle,
+                           found: Verdict) -> int:
+    """Grow one level's history/test pair from the sweep's verdict; return its level.
 
-    Finds the earliest level ``j`` along ``x`` where predictions break, with
-    ``tau = j - 1`` still matching; adds ``b' = x_{1:tau}`` to ``B_tau`` and
+    ``found`` is :func:`find_counterexample`'s ``(x, t, row, coeffs)``.  The
+    earliest level ``j < t`` along ``x`` whose predictions, ``coeffs[j]``
+    against ``Pr[L_j | B_j]``, break takes the place of ``(t, row)``, with
+    ``row`` its largest gap; level ``t`` itself is not read or decided again.
+    With ``tau = j - 1``, adds ``b' = x_{1:tau}`` to ``B_tau`` and
     ``λ' = x_{tau+1} · λ`` (the violated level-``j`` test prefixed by the next
     symbol of ``x``) to ``L_tau``.  The level-``tau`` matrix rank provably
     rises by exactly one, so the grown square table stays full rank; a grown
     table with fewer than ``len(B_tau)`` singular values above ``RANK_TOL``
     times its largest raises ``LearnerInvariantError``.
     """
-    first_bad = None
-    g = np.ones(1)
-    for j in range(1, len(x) + 1):
-        g = operators[j - 1][x[j - 1] - 1] @ g
-        true = state.block(oracle, [()], [x[:j] + lam for lam in state.tests[j]])
-        diff = np.abs(state.test_matrix(oracle, j) @ g - true[:, 0])
-        if np.max(diff) > eq_tol:
-            first_bad = (j, int(np.argmax(diff)))
+    x, j, row, coeffs = found
+    for level in range(1, j):
+        true = state.block(oracle, [()], [x[:level] + lam for lam in state.tests[level]])
+        gap = np.abs(coeffs[level] @ state.test_matrix(oracle, level).T - true[:, 0])
+        if np.max(gap) > EQ_TOL:
+            j, row = level, int(np.argmax(gap))
             break
-    if first_bad is None:
-        raise ValueError("input prefix is not a counterexample")
-    j, row = first_bad
     if j < 2:
         raise LearnerInvariantError(
             "level-1 predictions are exact by construction; j=1 cannot happen"
@@ -230,7 +232,7 @@ def process_counterexample(state: LearnerState, operators: list[list[np.ndarray]
     grown = state.test_matrix(oracle, tau)
     if numerical_rank(grown, RANK_TOL) != len(grown):
         raise LearnerInvariantError(f"level-{tau} table lost full rank after growth")
-    return tau, lam_new, b_new
+    return tau
 
 
 def default_sample_count(horizon: int, rank_bound: int, eps: float,
@@ -250,13 +252,12 @@ def default_sample_count(horizon: int, rank_bound: int, eps: float,
 
 
 def learn_exact(oracle: OracleHandle, eps: float = 0.05, delta: float = 0.1,
-                n_override: int | None = None,
-                eq_tol: float = EQ_TOL) -> tuple[OomModel, dict]:
+                n_override: int | None = None) -> tuple[OomModel, dict]:
     """Run the full learner loop until a sampling sweep finds no counterexample.
 
     ``n_override`` fixes the per-length sample count; otherwise it is recomputed
     each round from the current rank estimate.  ``n_override`` must be an
-    int of at least 1, ``eps`` and ``eq_tol`` finite positive reals and
+    int of at least 1, ``eps`` a finite positive real and
     ``delta`` inside ``(0, 1)``; without ``n_override``, ``eps`` must also
     keep :func:`default_sample_count` below ``2**63`` at the largest rank a
     level can reach.  Anything else raises ``ValueError`` before the first
@@ -270,7 +271,6 @@ def learn_exact(oracle: OracleHandle, eps: float = 0.05, delta: float = 0.1,
     check_positive("eps", eps)
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    check_positive("eq_tol", eq_tol)
     if n_override is None:
         # no level's table outgrows its shorter side, O^min(t, T-t) sequences
         default_sample_count(oracle.horizon, oracle.n_symbols ** (oracle.horizon // 2),
@@ -282,7 +282,7 @@ def learn_exact(oracle: OracleHandle, eps: float = 0.05, delta: float = 0.1,
         r_hat = state.max_size()
         n = n_override if n_override is not None else default_sample_count(
             T, r_hat, eps, delta)
-        found = find_counterexample(state, operators, oracle, n, eq_tol)
+        found = find_counterexample(state, operators, oracle, n)
         if found is None:
             break
         state.rounds += 1
@@ -291,7 +291,7 @@ def learn_exact(oracle: OracleHandle, eps: float = 0.05, delta: float = 0.1,
                 f"round {state.rounds} exceeds the rank-based bound "
                 f"{state.max_size() * T} + {ROUND_SLACK}"
             )
-        tau, _, _ = process_counterexample(state, operators, oracle, found[0], eq_tol)
+        tau = process_counterexample(state, oracle, found)
         # growing B_tau and L_tau changes the solves into and out of level tau
         for t in (tau - 1, tau):
             operators[t] = solve_level(state, oracle, t)

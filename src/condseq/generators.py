@@ -5,10 +5,15 @@ from __future__ import annotations
 import numpy as np
 
 from .distributions import Hmm, TableDist, _check_enum, future_table, numerical_rank
-from .sequences import Seq, all_seqs, seq_count, seq_to_index
+from .sequences import Seq, all_seqs, check_count, seq_count, seq_to_index
 
 FULL_RANK_TRIES = 10_000  # rejection draws make_full_rank_hmm makes at most
 SPAN_TOL = 1e-9  # relative singular-value cutoff of greedy_spanning_bases
+
+
+def _check_counts(**counts) -> None:
+    for name, value in counts.items():
+        check_count(name, value)
 
 
 def make_parity_hmm(horizon: int, subset: set[int] | None = None,
@@ -23,9 +28,8 @@ def make_parity_hmm(horizon: int, subset: set[int] | None = None,
     The state space tracks (current bit, running XOR, time), giving ``4T``
     states.
     """
+    check_count("horizon", horizon, 2)
     T = horizon
-    if T < 2:
-        raise ValueError("parity needs horizon >= 2")
     if not 0.0 < alpha < 0.5:
         raise ValueError("alpha must be in (0, 1/2)")
     if subset is None:
@@ -81,6 +85,7 @@ def make_full_rank_hmm(n_states: int, n_symbols: int, horizon: int, seed: int,
     Columns are Dirichlet(1) draws, rejection-sampled until both matrices have
     smallest singular value at least ``sigma_floor``.
     """
+    _check_counts(n_states=n_states, n_symbols=n_symbols, horizon=horizon)
     if n_symbols < n_states:
         raise ValueError("full-rank emission needs n_symbols >= n_states")
     rng = np.random.default_rng(seed)
@@ -100,6 +105,7 @@ def make_full_rank_hmm(n_states: int, n_symbols: int, horizon: int, seed: int,
 def make_overcomplete_hmm(n_states: int, n_symbols: int, horizon: int,
                           seed: int) -> Hmm:
     """Random HMM with more states than symbols (no spectral floor enforced)."""
+    _check_counts(n_states=n_states, n_symbols=n_symbols, horizon=horizon)
     if n_symbols >= n_states:
         raise ValueError("overcomplete means n_symbols < n_states")
     rng = np.random.default_rng(seed)
@@ -112,6 +118,7 @@ def make_overcomplete_hmm(n_states: int, n_symbols: int, horizon: int,
 def make_random_table(n_symbols: int, horizon: int, seed: int,
                       concentration: float = 1.0) -> TableDist:
     """Dirichlet-random explicit distribution over all sequences."""
+    _check_counts(n_symbols=n_symbols, horizon=horizon)
     rng = np.random.default_rng(seed)
     _check_enum(n_symbols, horizon)
     probs = rng.dirichlet(np.full(seq_count(n_symbols, horizon), concentration))

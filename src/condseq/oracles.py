@@ -28,38 +28,16 @@ latest level's block.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
 from contextlib import closing
 from dataclasses import dataclass, field
-from numbers import Integral, Real
 
 import numpy as np
 
-from .sequences import Seq, rows_as_seqs
+from .sequences import Seq, check_count, rows_as_seqs
 
 EXACT = "exact"
 SAMPLING = "sampling"
-
-
-def check_count(name: str, value, least: int = 1) -> None:
-    """Raise ``ValueError`` naming ``name`` unless ``value`` is an int >= ``least``.
-
-    A bool is refused, though Python counts it as an int.
-    """
-    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-
-
-def check_positive(name: str, value, high: float = math.inf) -> None:
-    """Raise ``ValueError`` naming ``name`` unless ``value`` is a real in ``(0, high]``.
-
-    NaN, infinities and bools are refused.
-    """
-    if (isinstance(value, bool) or not isinstance(value, Real)
-            or not (math.isfinite(value) and 0.0 < value <= high)):
-        bound = "> 0" if high == math.inf else f"in (0, {high}]"
-        raise ValueError(f"{name} must be a finite real {bound}, got {value!r}")
 
 
 class BudgetExceeded(RuntimeError):

@@ -20,9 +20,8 @@ import numpy as np
 from .distributions import ZeroProbabilityHistory
 from .estimation import CondEstimator
 from .oom import OomModel
-from .oracles import (SAMPLING, OracleHandle, WrongOracleMode, check_count,
-                      check_positive)
-from .sequences import Seq, distinct_rows
+from .oracles import SAMPLING, OracleHandle, WrongOracleMode
+from .sequences import Seq, check_count, check_positive, distinct_rows
 
 log = logging.getLogger(__name__)
 

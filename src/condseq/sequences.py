@@ -6,16 +6,40 @@ coincides with the mixed-radix index order used throughout the package:
 :func:`seq_to_index` numbers ``all_seqs`` in order.  Sampled batches travel
 as ``(k, L)`` int64 arrays of symbols, one sequence per row, and become tuples
 through :func:`distinct_rows` or :func:`rows_as_seqs`.
+The argument checks every module shares, :func:`check_count` and
+:func:`check_positive`, live here too.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from numbers import Integral, Real
 from typing import Iterator, Sequence
 
 import numpy as np
 
 Seq = tuple[int, ...]
+
+
+def check_count(name: str, value, least: int = 1) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is an int >= ``least``.
+
+    A bool is refused, though Python counts it as an int.
+    """
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def check_positive(name: str, value, high: float = math.inf) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is a real in ``(0, high]``.
+
+    NaN, infinities and bools are refused.
+    """
+    if (isinstance(value, bool) or not isinstance(value, Real)
+            or not (math.isfinite(value) and 0.0 < value <= high)):
+        bound = "> 0" if high == math.inf else f"in (0, {high}]"
+        raise ValueError(f"{name} must be a finite real {bound}, got {value!r}")
 
 
 def all_seqs(n_symbols: int, length: int) -> Iterator[Seq]:

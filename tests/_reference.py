@@ -107,8 +107,7 @@ def conditional_from_root(hmm: Hmm, history, future) -> float:
     return prob
 
 
-def per_sample_counterexample(state, operators, oracle, n: int,
-                              eq_tol: float = EQ_TOL):
+def per_sample_counterexample(state, operators, oracle, n: int):
     """The counterexample sweep one sample at a time, as first written.
 
     Each distinct sample is pushed through the operators from the root and
@@ -126,7 +125,7 @@ def per_sample_counterexample(state, operators, oracle, n: int,
             predicted = state.test_matrix(oracle, t) @ g
             true = np.array([state.pr(oracle, (), x + tuple(lam))
                              for lam in state.tests[t]])
-            if np.max(np.abs(predicted - true)) > eq_tol:
+            if np.max(np.abs(predicted - true)) > EQ_TOL:
                 return x, t
     return None
 

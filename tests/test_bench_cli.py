@@ -377,15 +377,13 @@ def test_every_documented_instance_and_eval_key_is_accepted(parity_file):
 
 def test_exact_params_that_cannot_work_are_rejected(parity_file):
     # n_override=0 used to return a rank-one model after 0 rounds, eps=0 and
-    # delta=0 to divide by zero, and delta=-1 to give n=3200; eq_tol=nan
-    # returned a rank-one model after 0 rounds, eq_tol=-1 blamed a learner bug
+    # delta=0 to divide by zero, and delta=-1 to give n=3200; the exact
+    # learner's equality threshold is a constant, not a key
     for params, name in [({"n_override": 0}, "n_override"),
                          ({"n_override": -1}, "n_override"),
                          ({"eps": 0.0}, "eps"), ({"eps": -0.05}, "eps"),
                          ({"delta": 0.0}, "delta"), ({"delta": -1.0}, "delta"),
-                         ({"eq_tol": float("nan")}, "eq_tol"),
-                         ({"eq_tol": float("inf")}, "eq_tol"),
-                         ({"eq_tol": -1.0}, "eq_tol"), ({"eq_tol": 0.0}, "eq_tol")]:
+                         ({"eq_tol": 1e-9}, r"unknown config keys: params \['eq_tol'\]")]:
         with pytest.raises(ValueError, match=name):
             run_experiment(_exact_config(parity_file, params=params))
     for flag, value, name in [("--samples", "0", "n_override"),
@@ -408,6 +406,25 @@ def test_instance_without_a_required_key_is_rejected_before_any_query(
         run_experiment(ExperimentConfig(instance=spec, algorithm="exact"))
 
 
+@pytest.mark.parametrize("spec, name", [
+    ({"kind": "parity", "horizon": 5.0}, "horizon"),
+    ({"kind": "parity", "horizon": "5"}, "horizon"),
+    ({"kind": "parity", "horizon": True}, "horizon"),
+    ({"kind": "full-rank", "n_states": 3.0, "n_symbols": 4, "horizon": 4}, "n_states"),
+    ({"kind": "full-rank", "n_states": 3, "n_symbols": 4, "horizon": 4.0}, "horizon"),
+    ({"kind": "overcomplete", "n_states": 4.0, "horizon": 4}, "n_states"),
+    ({"kind": "overcomplete", "n_states": 4, "n_symbols": True, "horizon": 4},
+     "n_symbols"),
+    ({"kind": "random-table", "horizon": 3.0}, "horizon"),
+    ({"kind": "random-table", "n_symbols": "2", "horizon": 3}, "n_symbols"),
+])
+def test_instance_count_that_is_not_an_integer_is_rejected_before_any_query(
+        no_oracle, spec, name):
+    # each used to raise TypeError, and horizon: True to build a horizon-1 HMM
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        run_experiment(ExperimentConfig(instance=spec, algorithm="exact"))
+
+
 def test_basis_search_without_t_is_rejected_before_any_query(no_oracle):
     # used to raise TypeError at run time; only the CLI checked for t
     with pytest.raises(ValueError, match=r"missing config keys: params \['t'\]"):
@@ -425,6 +442,19 @@ def test_cli_flags_get_the_config_checks(no_oracle, parity_file, flags, message)
     with pytest.raises(ValueError, match=message):
         main(["learn-exact", "--instance", parity_file, "--samples", "50",
               *flags])
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--tv-samples", "0"], "eval.tv_samples must be an integer >= 1, got 0"),
+    (["--tv-samples", "-5"], "eval.tv_samples must be an integer >= 1, got -5"),
+    (["--seed", "-1"], "seed must be an integer >= 0, got -1"),
+])
+def test_cli_eval_flags_get_the_config_checks(tmp_path, flags, message):
+    # each used to load both files, then raise inside the TV bound or numpy;
+    # the files here do not exist, so the check must come before any read
+    with pytest.raises(ValueError, match=re.escape(message)):
+        main(["eval", "--instance", str(tmp_path / "missing.hmm"),
+              "--model", str(tmp_path / "missing.yaml"), *flags])
 
 
 @pytest.mark.parametrize("override, message", [

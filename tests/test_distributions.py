@@ -57,6 +57,9 @@ def test_hmm_validation_rejects_bad_parameters():
         Hmm(**{**good, "transition": [[0.8]]})
     with pytest.raises(ValueError):
         Hmm(**{**good, "horizon": 0})
+    for horizon in (True, 2.0, "2"):
+        with pytest.raises(ValueError, match="horizon must be an integer"):
+            Hmm(**{**good, "horizon": horizon})
     with pytest.raises(ValueError):
         Hmm(mu=[1.5, -0.5], emission=[[0.5, 0.5], [0.5, 0.5]],
             transition=[[0.5, 0.5], [0.5, 0.5]], horizon=2)

@@ -6,10 +6,12 @@ import pytest
 
 from condseq.bench import INSTANCE_BUILDERS, ExperimentConfig, run_experiment
 from condseq.distributions import Hmm, save_hmm
-from condseq.exact_learner import (default_sample_count, find_counterexample,
-                                   init_state, learn_exact,
-                                   process_counterexample, solve_operators)
-from condseq.generators import make_parity_hmm, make_random_table
+from condseq.exact_learner import (LearnerInvariantError, LearnerState,
+                                   default_sample_count, find_counterexample,
+                                   init_state, learn_exact, process_counterexample,
+                                   solve_level, solve_operators)
+from condseq.generators import (make_full_rank_hmm, make_overcomplete_hmm,
+                                make_parity_hmm, make_random_table)
 from condseq.metrics import tv_exact
 from condseq.oom import to_distribution
 from condseq.oracles import BudgetExceeded, OracleHandle, WrongOracleMode
@@ -131,15 +133,15 @@ def test_batched_sweep_matches_the_per_sample_sweep():
         operators = solve_operators(state, oracle)
         ref_oracle, ref_state = copy.deepcopy((oracle, state))
         found = find_counterexample(state, operators, oracle, 100)
-        assert found == per_sample_counterexample(ref_state, operators,
-                                                  ref_oracle, 100)
+        assert (found[:2] if found else None) == per_sample_counterexample(
+            ref_state, operators, ref_oracle, 100)
         assert oracle.stats.as_dict() == ref_oracle.stats.as_dict()
         assert list(state.values) == list(ref_state.values)
         if found is None:
             break
         levels.append(found[1])
         state.rounds += 1
-        process_counterexample(state, operators, oracle, found[0])
+        process_counterexample(state, oracle, found)
     assert any(1 < t < T for t in levels)
 
 
@@ -173,10 +175,10 @@ def test_budget_cuts_the_sweep_where_the_per_sample_sweep_is_cut():
     ({"delta": 0.0}, "delta"),
     ({"delta": -1.0}, "delta"),
     ({"delta": 1.0}, "delta"),
-    ({"eq_tol": float("nan")}, "eq_tol"),
-    ({"eq_tol": float("inf")}, "eq_tol"),
-    ({"eq_tol": -1.0}, "eq_tol"),
-    ({"eq_tol": 0.0}, "eq_tol"),
+    ({"eps": float("nan")}, "eps"),
+    ({"delta": float("nan")}, "delta"),
+    ({"delta": float("inf")}, "delta"),
+    ({"n_override": "200"}, "n_override"),
     ({"n_override": 200.0}, "n_override"),
     ({"n_override": True}, "n_override"),
     ({"eps": float("inf")}, "eps"),
@@ -248,6 +250,60 @@ def test_learn_exact_benchmark_instance(monkeypatch):
     # took 1,749
     assert calls["_children"] <= 250
     assert calls["row_conditionals"] == 0
+
+
+@pytest.mark.parametrize("hmm, total, rounds, by_length, sizes", [
+    pytest.param(make_full_rank_hmm(3, 4, 8, seed=0), 20_812, 14,
+                 {0: 20_511, **dict.fromkeys(range(1, 7), 48), 7: 12, 8: 1},
+                 [1] + [3] * 7 + [1], id="full-rank-3-4-8"),
+    pytest.param(make_overcomplete_hmm(6, 2, 8, seed=0), 25_307, 23,
+                 {0: 24_974, 1: 20, 2: 56, 3: 84, 4: 84, 5: 60, 6: 24, 7: 4, 8: 1},
+                 [1, 2, 4, 6, 6, 6, 4, 2, 1], id="overcomplete-6-2-8"),
+])
+def test_learn_exact_query_totals_beyond_parity(hmm, total, rounds, by_length,
+                                                 sizes):
+    """Counted, not timed: n=200, oracle seed 0."""
+    oracle, model, info = _learn(hmm, n_override=200)
+    assert oracle.stats.total == total
+    assert info["rounds"] == rounds
+    assert oracle.stats.by_history_length == by_length
+    assert model.basis_sizes() == sizes
+
+
+def test_process_counterexample_grows_from_the_sweeps_verdict(monkeypatch):
+    """Level t is neither read nor judged again: the verdict's row is grown.
+
+    Only the sweep's row 1 is violated; a verdict naming row 0 is grown as
+    given, and the grown table's rank check is what refuses it.
+    """
+    oracle = OracleHandle(make_parity_hmm(8, alpha=0.2), mode="exact", seed=3)
+    state = init_state(oracle)
+    operators = solve_operators(state, oracle)
+    state.rounds += 1
+    tau = process_counterexample(
+        state, oracle, find_counterexample(state, operators, oracle, 100))
+    for t in (tau - 1, tau):
+        operators[t] = solve_level(state, oracle, t)
+    x, t, row, coeffs = find_counterexample(state, operators, oracle, 100)
+    tests = list(state.tests[t])
+    assert len(tests) == 2 and row == 1  # the sweep's largest gap
+    earlier = [([()], [x[:j] + lam for lam in state.tests[j]]) for j in range(1, t)]
+    reads = []
+    block = LearnerState.block
+
+    def recorded(self, oracle, histories, futures):
+        reads.append((list(histories), list(futures)))
+        return block(self, oracle, histories, futures)
+
+    monkeypatch.setattr(LearnerState, "block", recorded)
+    state.rounds += 1
+    with pytest.raises(LearnerInvariantError, match=f"level-{t - 1} table lost full rank"):
+        process_counterexample(state, oracle, (x, t, 0, coeffs))
+    assert state.trace[-1]["tau"] == t - 1
+    assert state.trace[-1]["new_test"] == (x[t - 1], *tests[0])
+    assert all(read in reads for read in earlier)
+    assert (state.histories[t], tests) not in reads
+    assert ([()], [x + lam for lam in tests]) not in reads
 
 
 # Every instance kind at desk scale, including the overcomplete HMMs (S > O)
